@@ -16,6 +16,7 @@
 #include "cache/afd.h"
 #include "core/laps.h"
 #include "core/map_table.h"
+#include "core/migration_table.h"
 #include "sim/event_heap.h"
 #include "sim/timing_wheel.h"
 #include "sim/scenarios.h"
@@ -131,9 +132,7 @@ void BM_FcfsDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_FcfsDecision);
 
-// AFD access (background path) across annex sizes — Fig. 8a's sweep axis.
-void BM_AfdAccess(benchmark::State& state) {
-  AfdConfig cfg;
+void run_afd(benchmark::State& state, AfdConfig cfg) {
   cfg.annex_entries = static_cast<std::size_t>(state.range(0));
   Afd afd(cfg);
   const auto packets = make_packets(8192, 5);
@@ -144,7 +143,39 @@ void BM_AfdAccess(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// AFD access (background path) across annex sizes — Fig. 8a's sweep axis.
+// The paper config promotes on the threshold alone, so AFC victims are
+// demoted back into the annex at arbitrary counts: the demotion-heavy case.
+void BM_AfdAccess(benchmark::State& state) { run_afd(state, AfdConfig{}); }
 BENCHMARK(BM_AfdAccess)->Arg(64)->Arg(512)->Arg(1024);
+
+// The detector as LAPS configures it (require_beat_afc_min): promotions
+// and demotions are rare, so touches and annex inserts dominate.
+void BM_AfdAccessLapsConfig(benchmark::State& state) {
+  run_afd(state, LapsConfig::make_default_afd());
+}
+BENCHMARK(BM_AfdAccessLapsConfig)->Arg(64)->Arg(512)->Arg(1024);
+
+// Migration-table CAM at its LAPS size (1024 pins, full): one lookup per
+// packet plus a pin of every 8th flow, which re-pins a resident flow or
+// evicts the oldest — the per-packet table work of Fig. 3's override path.
+void BM_MigrationTable(benchmark::State& state) {
+  MigrationTable table(1024);
+  const auto packets = make_packets(8192, 6);
+  for (std::size_t k = 0; k < 1024; ++k) {
+    table.add(packets[k].flow_key(), static_cast<CoreId>(k & 15));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t key = packets[i].flow_key();
+    benchmark::DoNotOptimize(table.lookup(key));
+    if ((i & 7) == 0) table.add(key, static_cast<CoreId>(i & 15));
+    i = (i + 1) & 8191;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MigrationTable);
 
 // DES substrate: event heap push+pop at simulator-typical occupancy.
 // Pop-modify-push cycle at the simulator's steady-state occupancy (one

@@ -20,6 +20,7 @@ CoreAllocator::CoreAllocator(std::size_t num_cores, std::size_t num_services,
   owner_.resize(num_cores);
   cores_of_.resize(num_services);
   offline_.assign(num_cores, 0);
+  surplus_mark_.assign(num_cores, 0);
   // Contiguous, as-even-as-possible split (16/4 -> 4 each, the paper's
   // "at initialization, cores are equally divided among services").
   for (std::size_t c = 0; c < num_cores; ++c) {
@@ -34,20 +35,17 @@ void CoreAllocator::mark_surplus(CoreId core, TimeNs now) {
     throw std::out_of_range("CoreAllocator: bad core id");
   }
   if (offline_[core] != 0) return;  // a dead core has no spare capacity
-  if (is_surplus(core)) return;
+  if (surplus_mark_[core] != 0) return;
+  surplus_mark_[core] = 1;
   surplus_.push_back(Surplus{core, now});
 }
 
 void CoreAllocator::unmark_surplus(CoreId core) {
-  const auto it = std::find_if(
+  if (surplus_mark_.at(core) == 0) return;
+  surplus_mark_[core] = 0;
+  surplus_.erase(std::find_if(
       surplus_.begin(), surplus_.end(),
-      [core](const Surplus& s) { return s.core == core; });
-  if (it != surplus_.end()) surplus_.erase(it);
-}
-
-bool CoreAllocator::is_surplus(CoreId core) const {
-  return std::any_of(surplus_.begin(), surplus_.end(),
-                     [core](const Surplus& s) { return s.core == core; });
+      [core](const Surplus& s) { return s.core == core; }));
 }
 
 std::optional<CoreId> CoreAllocator::grant_core(std::size_t service) {
@@ -69,6 +67,7 @@ std::optional<CoreId> CoreAllocator::grant_core(std::size_t service) {
 
   const CoreId core = best->core;
   surplus_.erase(best);
+  surplus_mark_[core] = 0;
   const std::size_t victim = owner_[core];
   auto& victim_cores = cores_of_[victim];
   victim_cores.erase(std::find(victim_cores.begin(), victim_cores.end(), core));

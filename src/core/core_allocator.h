@@ -41,7 +41,7 @@ class CoreAllocator {
   /// No-op if not marked.
   void unmark_surplus(CoreId core);
 
-  bool is_surplus(CoreId core) const;
+  bool is_surplus(CoreId core) const { return surplus_mark_.at(core) != 0; }
 
   /// Number of cores currently marked surplus.
   std::size_t surplus_count() const { return surplus_.size(); }
@@ -89,7 +89,11 @@ class CoreAllocator {
 
   std::vector<std::size_t> owner_;
   std::vector<std::vector<CoreId>> cores_of_;
-  std::vector<Surplus> surplus_;  // tiny; linear scans are fine
+  // Marked cores in marking order (grant_core breaks `since` ties on it),
+  // plus a per-core flag so the per-packet mark/unmark/is_surplus calls
+  // skip the list for every core that is not marked.
+  std::vector<Surplus> surplus_;
+  std::vector<std::uint8_t> surplus_mark_;
   std::vector<std::uint8_t> offline_;
   std::size_t min_cores_;
   std::uint64_t transfers_ = 0;

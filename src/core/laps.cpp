@@ -61,9 +61,8 @@ void LapsScheduler::park_core(std::size_t service, CoreId core, TimeNs now) {
        static_cast<std::int32_t>(service));
 }
 
-void LapsScheduler::update_surplus_marks(const NpuView& view) {
-  const TimeNs now = view.now();
-  const auto cores = view.cores();
+void LapsScheduler::update_surplus_marks(
+    TimeNs now, std::span<const CoreView> cores) {
   for (CoreId c = 0; c < static_cast<CoreId>(cores.size()); ++c) {
     const CoreView& v = cores[c];
     if (v.idle_since >= 0 && now - v.idle_since >= config_.idle_th) {
@@ -73,8 +72,8 @@ void LapsScheduler::update_surplus_marks(const NpuView& view) {
   }
 }
 
-CoreId LapsScheduler::least_loaded_of(std::size_t service,
-                                      const NpuView& view) const {
+CoreId LapsScheduler::least_loaded_of(
+    std::size_t service, std::span<const CoreView> cores) const {
   // Parked cores are powered down and must not receive migrated flows;
   // with power gating at least min_cores stay unparked, so a candidate
   // always exists.
@@ -84,7 +83,8 @@ CoreId LapsScheduler::least_loaded_of(std::size_t service,
   std::uint32_t best_load = 0;
   for (CoreId core : owned) {
     if (power_.parked(core) || live_.is_down(core)) continue;
-    const std::uint32_t load = view.load(core);
+    const std::uint32_t load =
+        cores[core].queue_len + (cores[core].busy ? 1u : 0u);
     if (!have || load < best_load) {
       have = true;
       best_load = load;
@@ -188,6 +188,9 @@ void LapsScheduler::notify_core_up(CoreId core, const NpuView& view) {
 CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
   const std::size_t service = service_index(pkt.service);
   const std::uint64_t key = pkt.flow_key();
+  // One virtual call per packet: the engine's core state cannot change
+  // while the scheduler decides.
+  const std::span<const CoreView> cores = view.cores();
 
   // The AFD observes every packet in the background (Sec. III-G: not on the
   // critical path; sampling is handled inside per Fig. 8c). Promotion
@@ -198,7 +201,7 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
          static_cast<std::int32_t>(service), key);
   }
   last_now_ = view.now();
-  update_surplus_marks(view);
+  update_surplus_marks(last_now_, cores);
   power_.update_parking(last_now_, *this);
 
   FlowPinner& pinner = pinners_[service];
@@ -215,10 +218,10 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
       pinner.drop_stale(key);
     }
   }
-  // Step 2: the service's map table via incremental hashing.
-  if (!pinned) {
-    target = pinner.hash_core(pkt.tuple.crc16());
-  }
+  // Step 2: the service's map table via incremental hashing. Every later
+  // re-hash is also of an unpinned flow, so the CRC is computed once here.
+  const std::uint16_t crc = pinned ? 0 : pkt.tuple.crc16();
+  if (!pinned) target = pinner.hash_core(crc);
 
   // Power gating: wake a parked core before queues overflow (wake-ahead),
   // and consolidate onto fewer cores when a whole window shows slack.
@@ -227,7 +230,7 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
     const std::uint32_t watermark = config_.wake_watermark
                                         ? config_.wake_watermark
                                         : config_.high_thresh / 2;
-    if (view.cores()[target].queue_len >= watermark) {
+    if (cores[target].queue_len >= watermark) {
       for (CoreId core : allocator_->cores_of(service)) {
         if (!power_.parked(core)) continue;
         wake_core(core, last_now_);
@@ -239,24 +242,22 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
         // to a stable, unparked configuration instead of cycling map-table
         // churn forever.
         power_.note_wake_backoff(service, last_now_);
-        if (!pinned) {
-          target = pinner.hash_core(pkt.tuple.crc16());
-        }
+        if (!pinned) target = pinner.hash_core(crc);
         break;
       }
     }
     // Consolidation may have just parked this packet's target (its buckets
     // are gone, but the lookup above preceded the park): re-route.
     if (power_.parked(target)) {
-      target = pinned ? least_loaded_of(service, view)
-                      : pinner.hash_core(pkt.tuple.crc16());
+      target = pinned ? least_loaded_of(service, cores)
+                      : pinner.hash_core(crc);
     }
   }
 
   // Step 3/4: Listing 1 — load imbalance handling.
-  if (view.cores()[target].queue_len >= config_.high_thresh) {
-    const CoreId minq = least_loaded_of(service, view);
-    if (view.cores()[minq].queue_len < config_.high_thresh) {
+  if (cores[target].queue_len >= config_.high_thresh) {
+    const CoreId minq = least_loaded_of(service, cores);
+    if (cores[minq].queue_len < config_.high_thresh) {
       if (!pinned && detector_->is_aggressive(key)) {
         pinner.pin(key, minq);
         detector_->invalidate(key);
@@ -270,18 +271,14 @@ CoreId LapsScheduler::schedule(const SimPacket& pkt, const NpuView& view) {
       // Every core of this service is overloaded: the allocation is
       // insufficient — request one more core and re-hash this packet so it
       // can land on the (idle) newcomer.
-      if (request_core(service)) {
-        if (!pinned) {
-          target = pinner.hash_core(pkt.tuple.crc16());
-        }
-      }
+      if (request_core(service) && !pinned) target = pinner.hash_core(crc);
     }
   }
 
   // Defense in depth: the drain/remap protocol keeps dead cores out of
   // every table, so this reroute should never fire — but a dead target
   // would be a guaranteed drop, and least_loaded_of skips down cores.
-  if (live_.is_down(target)) target = least_loaded_of(service, view);
+  if (live_.is_down(target)) target = least_loaded_of(service, cores);
 
   // The dispatch touches the core, so it is no longer reclaimable surplus.
   allocator_->unmark_surplus(target);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/afd.h"
@@ -194,11 +195,13 @@ class LapsScheduler final : public Scheduler, private PowerHost {
 
   /// Lazily advances the surplus timers: marks every core that has been
   /// idle past idle_th (Sec. III-D). Called once per arrival; core counts
-  /// are small so the scan is trivial next to the simulated work.
-  void update_surplus_marks(const NpuView& view);
+  /// are small, and marking an already-marked core is a flag test.
+  void update_surplus_marks(TimeNs now, std::span<const CoreView> cores);
 
-  /// Least-loaded core among those owned by `service`.
-  CoreId least_loaded_of(std::size_t service, const NpuView& view) const;
+  /// Least-loaded core (queued + in service) among those owned by
+  /// `service`, from the packet's snapshot of the engine's core state.
+  CoreId least_loaded_of(std::size_t service,
+                         std::span<const CoreView> cores) const;
 
   /// Listing 1's request_core(): try to grow `service` by one core; updates
   /// the victim's map/migration tables. With power gating, the service's

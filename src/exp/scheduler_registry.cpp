@@ -84,9 +84,19 @@ void canon_adaptive(SpecPrinter& out, const AdaptiveHashScheduler::Options& c,
   out.add_size("buckets", c.num_buckets, d.num_buckets);
 }
 
+// Bound on the hardware-table sizes a spec may ask for (afc, annex, pins).
+// The tables are allocated in full at construction, so an unbounded value
+// would be an allocation bomb; 2^20 entries is 1024x the paper's largest
+// annex and still only tens of MB.
+constexpr std::size_t kMaxTableEntries = std::size_t{1} << 20;
+
+std::size_t get_table_size(Params& p, const char* key, std::size_t def) {
+  return p.get_size(key, def, 1, kMaxTableEntries);
+}
+
 void parse_afd(Params& p, AfdConfig& cfg) {
-  cfg.afc_entries = p.get_size("afc", cfg.afc_entries);
-  cfg.annex_entries = p.get_size("annex", cfg.annex_entries);
+  cfg.afc_entries = get_table_size(p, "afc", cfg.afc_entries);
+  cfg.annex_entries = get_table_size(p, "annex", cfg.annex_entries);
   cfg.promote_threshold = p.get_u64("promote", cfg.promote_threshold);
   cfg.sample_probability = p.get_double("sample", cfg.sample_probability);
   cfg.aging_period = p.get_u64("aging", cfg.aging_period);
@@ -108,7 +118,7 @@ CombinedAdaptiveScheduler::CombinedOptions parse_adaptive_afd(Params& p) {
   parse_afd(p, cfg.afd);
   cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
   cfg.migration_table_capacity =
-      p.get_size("pins", cfg.migration_table_capacity);
+      get_table_size(p, "pins", cfg.migration_table_capacity);
   p.finish();
   return cfg;
 }
@@ -142,7 +152,7 @@ LapsConfig parse_laps(Params& p) {
   cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
   cfg.idle_th = p.get_duration("idle_th", cfg.idle_th);
   cfg.migration_table_capacity =
-      p.get_size("pins", cfg.migration_table_capacity);
+      get_table_size(p, "pins", cfg.migration_table_capacity);
   cfg.min_cores_per_service =
       p.get_size("min_cores", cfg.min_cores_per_service);
   cfg.power_gating = p.get_bool("power", cfg.power_gating);
@@ -189,7 +199,7 @@ HashMigrateScheduler::Options parse_hash_migrate(Params& p) {
   parse_afd(p, cfg.afd);
   cfg.high_thresh = p.get_u32("high_th", cfg.high_thresh);
   cfg.migration_table_capacity =
-      p.get_size("pins", cfg.migration_table_capacity);
+      get_table_size(p, "pins", cfg.migration_table_capacity);
   p.finish();
   return cfg;
 }

@@ -18,6 +18,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -132,14 +133,30 @@ class Params {
       : kind_(kind), name_(std::move(name)), params_(std::move(params)) {}
 
   std::uint64_t get_u64(const char* key, std::uint64_t def) {
-    const std::string* v = consume(key);
-    return v ? parse_u64<Error>(kind_, name_, key, *v) : def;
+    return get_u64_in(key, def, 0, std::numeric_limits<std::uint64_t>::max());
   }
-  std::size_t get_size(const char* key, std::size_t def) {
-    return static_cast<std::size_t>(get_u64(key, def));
+  /// An integer in [lo, hi]; out-of-range values are rejected naming the
+  /// parameter and its range, never truncated or clamped.
+  std::uint64_t get_u64_in(const char* key, std::uint64_t def,
+                           std::uint64_t lo, std::uint64_t hi) {
+    const std::string* v = consume(key);
+    if (v == nullptr) return def;
+    const std::uint64_t parsed = parse_u64<Error>(kind_, name_, key, *v);
+    if (parsed < lo || parsed > hi) {
+      throw Error(std::string(kind_) + " '" + name_ + "': parameter '" + key +
+                  "' must be in [" + std::to_string(lo) + ", " +
+                  std::to_string(hi) + "], got '" + *v + "'");
+    }
+    return parsed;
+  }
+  std::size_t get_size(
+      const char* key, std::size_t def, std::size_t lo = 0,
+      std::size_t hi = std::numeric_limits<std::size_t>::max()) {
+    return static_cast<std::size_t>(get_u64_in(key, def, lo, hi));
   }
   std::uint32_t get_u32(const char* key, std::uint32_t def) {
-    return static_cast<std::uint32_t>(get_u64(key, def));
+    return static_cast<std::uint32_t>(
+        get_u64_in(key, def, 0, std::numeric_limits<std::uint32_t>::max()));
   }
   double get_double(const char* key, double def) {
     const std::string* v = consume(key);

@@ -1,10 +1,12 @@
-// Tests for src/cache: the O(1) LFU cache, the Aggressive Flow Detector,
+// Tests for src/cache: the flat LFU cache, the Aggressive Flow Detector,
 // the ElephantTrap baseline, Space-Saving, and the exact top-K truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cache/afd.h"
@@ -150,75 +152,165 @@ TEST(LfuCache, EvictOnEmptyThrows) {
   EXPECT_THROW(c.evict_lfu(), std::logic_error);
 }
 
-// Property: the O(1) implementation behaves exactly like a straightforward
-// reference LFU (map scan for minimum, FIFO recency list) over random
-// operation sequences.
+// Property: the flat implementation behaves exactly like a straightforward
+// reference LFU (map scan for minimum, tick-stamped recency) over random
+// operation sequences: touch-or-insert, insert at arbitrary frequencies
+// (new and existing keys), erase, explicit eviction, aging, and full audits
+// of min_freq() and the entries() order. Several capacities, so both tiny
+// bucket chains and long ones with far-apart frequencies are covered.
 class LfuModelCheck : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LfuModelCheck, MatchesReferenceModel) {
-  constexpr std::size_t kCapacity = 8;
-  LfuCache<int> fast(kCapacity);
-
-  struct RefEntry {
+struct RefLfu {
+  struct Entry {
     std::uint64_t freq;
-    std::uint64_t last_use;  // for LRU tie-break (lower = older)
+    std::uint64_t last_use;  // recency within a frequency (higher = newer)
   };
-  std::map<int, RefEntry> ref;
+  std::map<int, Entry> entries;
   std::uint64_t tick = 0;
 
-  auto ref_evict = [&]() {
-    auto victim = ref.begin();
-    for (auto it = ref.begin(); it != ref.end(); ++it) {
-      if (it->second.freq < victim->second.freq ||
-          (it->second.freq == victim->second.freq &&
-           it->second.last_use < victim->second.last_use)) {
-        victim = it;
+  // The LFU victim: minimum frequency, least recent among ties.
+  std::map<int, Entry>::iterator victim() {
+    auto best = entries.begin();
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->second.freq < best->second.freq ||
+          (it->second.freq == best->second.freq &&
+           it->second.last_use < best->second.last_use)) {
+        best = it;
       }
     }
-    const int key = victim->first;
-    ref.erase(victim);
-    return key;
-  };
+    return best;
+  }
 
-  Rng rng(GetParam());
-  for (int step = 0; step < 4000; ++step) {
-    const int key = static_cast<int>(rng.below(24));
-    ++tick;
-    switch (rng.below(4)) {
-      case 0:
-      case 1: {  // access pattern: touch, insert on miss
-        const auto hit = fast.touch(key);
-        const auto it = ref.find(key);
-        ASSERT_EQ(hit.has_value(), it != ref.end()) << "step " << step;
-        if (it != ref.end()) {
-          it->second.freq += 1;
-          it->second.last_use = tick;
-          ASSERT_EQ(*hit, it->second.freq);
-        } else {
-          const auto victim = fast.insert(key, 1);
-          if (ref.size() == kCapacity) {
-            const int ref_victim = ref_evict();
-            ASSERT_TRUE(victim.has_value());
-            ASSERT_EQ(victim->key, ref_victim) << "step " << step;
+  // Most-frequent first, most recent first among ties.
+  std::vector<std::pair<int, std::uint64_t>> order() const {
+    std::vector<std::pair<int, Entry>> all(entries.begin(), entries.end());
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.second.freq != b.second.freq) return a.second.freq > b.second.freq;
+      return a.second.last_use > b.second.last_use;
+    });
+    std::vector<std::pair<int, std::uint64_t>> out;
+    for (const auto& [key, e] : all) out.emplace_back(key, e.freq);
+    return out;
+  }
+
+  // Halve (min 1). Within a new count, a higher old count is more
+  // protected; equal old counts keep their recency order. Re-stamping in
+  // (old count, recency) order encodes exactly that.
+  void age_halve() {
+    std::vector<std::pair<int, Entry>> all(entries.begin(), entries.end());
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.second.freq != b.second.freq) return a.second.freq < b.second.freq;
+      return a.second.last_use < b.second.last_use;
+    });
+    for (const auto& [key, e] : all) {
+      entries[key] = Entry{std::max<std::uint64_t>(e.freq / 2, 1), ++tick};
+    }
+  }
+};
+
+TEST_P(LfuModelCheck, MatchesReferenceModel) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{8},
+                                     std::size_t{37}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    LfuCache<int> fast(capacity);
+    RefLfu ref;
+    Rng rng(GetParam() * 131 + capacity);
+    const auto key_space = static_cast<std::uint64_t>(capacity * 3);
+
+    // A frequency for insert(): mostly small, sometimes far above the rest
+    // (an AFC victim demoted with its counter), sometimes 1.
+    const auto random_freq = [&]() -> std::uint64_t {
+      switch (rng.below(4)) {
+        case 0: return 1;
+        case 1: return 1 + rng.below(12);
+        case 2: return 1 + rng.below(5000);
+        default: return 1 + rng.below(std::uint64_t{1} << 40);
+      }
+    };
+    // Inserting a new key when full must evict exactly the model's victim.
+    const auto insert_new = [&](int key, std::uint64_t freq, int step) {
+      const auto victim = fast.insert(key, freq);
+      if (ref.entries.size() == capacity) {
+        const auto it = ref.victim();
+        ASSERT_TRUE(victim.has_value()) << "step " << step;
+        ASSERT_EQ(victim->key, it->first) << "step " << step;
+        ASSERT_EQ(victim->freq, it->second.freq) << "step " << step;
+        ref.entries.erase(it);
+      } else {
+        ASSERT_FALSE(victim.has_value()) << "step " << step;
+      }
+      ref.entries[key] = RefLfu::Entry{freq, ++ref.tick};
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      const int key = static_cast<int>(rng.below(key_space));
+      switch (rng.below(8)) {
+        case 0:
+        case 1: {  // access pattern: touch, insert on miss
+          const auto hit = fast.touch(key);
+          const auto it = ref.entries.find(key);
+          ASSERT_EQ(hit.has_value(), it != ref.entries.end())
+              << "step " << step;
+          if (it != ref.entries.end()) {
+            it->second.freq += 1;
+            it->second.last_use = ++ref.tick;
+            ASSERT_EQ(*hit, it->second.freq);
           } else {
-            ASSERT_FALSE(victim.has_value());
+            insert_new(key, 1, step);
           }
-          ref[key] = RefEntry{1, tick};
+          break;
         }
-        break;
-      }
-      case 2: {  // erase
-        const auto gone = fast.erase(key);
-        ASSERT_EQ(gone.has_value(), ref.count(key) == 1);
-        ref.erase(key);
-        break;
-      }
-      case 3: {  // invariant audit
-        ASSERT_EQ(fast.size(), ref.size());
-        for (const auto& [k, e] : ref) {
-          ASSERT_EQ(fast.freq_of(k), e.freq);
+        case 2: {  // insert at an arbitrary frequency, new or existing
+          const std::uint64_t freq = random_freq();
+          const auto it = ref.entries.find(key);
+          if (it != ref.entries.end()) {
+            ASSERT_FALSE(fast.insert(key, freq).has_value()) << "step " << step;
+            it->second = RefLfu::Entry{freq, ++ref.tick};
+          } else {
+            insert_new(key, freq, step);
+          }
+          break;
         }
-        break;
+        case 3: {  // erase
+          const auto gone = fast.erase(key);
+          const auto it = ref.entries.find(key);
+          ASSERT_EQ(gone.has_value(), it != ref.entries.end());
+          if (gone) {
+            ASSERT_EQ(gone->freq, it->second.freq);
+            ref.entries.erase(it);
+          }
+          break;
+        }
+        case 4: {  // explicit eviction
+          if (ref.entries.empty()) {
+            ASSERT_THROW(fast.evict_lfu(), std::logic_error);
+            break;
+          }
+          const auto it = ref.victim();
+          const auto victim = fast.evict_lfu();
+          ASSERT_EQ(victim.key, it->first) << "step " << step;
+          ASSERT_EQ(victim.freq, it->second.freq) << "step " << step;
+          ref.entries.erase(it);
+          break;
+        }
+        case 5: {  // aging (rarer than the other operations)
+          if (rng.below(4) != 0) break;
+          fast.age_halve();
+          ref.age_halve();
+          break;
+        }
+        default: {  // invariant audit, including the full entries() order
+          ASSERT_EQ(fast.size(), ref.entries.size());
+          ASSERT_EQ(fast.min_freq(),
+                    ref.entries.empty() ? 0 : ref.victim()->second.freq);
+          for (const auto& [k, e] : ref.entries) {
+            ASSERT_EQ(fast.freq_of(k), e.freq);
+          }
+          std::vector<std::pair<int, std::uint64_t>> got;
+          for (const auto& e : fast.entries()) got.emplace_back(e.key, e.freq);
+          ASSERT_EQ(got, ref.order()) << "step " << step;
+          break;
+        }
       }
     }
   }

@@ -3,14 +3,18 @@
 // NPU view.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core_allocator.h"
 #include "core/laps.h"
 #include "core/map_table.h"
 #include "core/migration_table.h"
+#include "util/crc.h"
 #include "util/rng.h"
 
 namespace laps {
@@ -202,6 +206,83 @@ TEST(MigrationTable, ClearEmpties) {
   EXPECT_EQ(t.size(), 0u);
   EXPECT_TRUE(t.keys_in_order().empty());
 }
+
+// Property: the flat table behaves exactly like a reference FIFO (a vector
+// of pins, oldest first) over random add / re-pin / erase /
+// remove_core_entries / clear sequences, including eviction at capacity.
+class MigrationTableModelCheck
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MigrationTableModelCheck, MatchesReferenceFifo) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{6},
+                                     std::size_t{50}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    MigrationTable table(capacity);
+    std::vector<std::pair<std::uint64_t, CoreId>> ref;  // oldest first
+    const auto find = [&](std::uint64_t key) {
+      return std::find_if(ref.begin(), ref.end(),
+                          [key](const auto& pin) { return pin.first == key; });
+    };
+    Rng rng(GetParam() * 977 + capacity);
+    for (int step = 0; step < 4000; ++step) {
+      // Keys spread over the full 64-bit range, from a pool of 3x capacity.
+      const std::uint64_t key = mix64(rng.below(capacity * 3));
+      const auto core = static_cast<CoreId>(rng.below(5));
+      switch (rng.below(6)) {
+        case 0:
+        case 1: {  // pin or re-pin (re-pin refreshes to newest)
+          table.add(key, core);
+          const auto it = find(key);
+          if (it != ref.end()) {
+            ref.erase(it);
+          } else if (ref.size() == capacity) {
+            ref.erase(ref.begin());  // FIFO eviction of the oldest pin
+          }
+          ref.emplace_back(key, core);
+          break;
+        }
+        case 2: {  // erase
+          const auto it = find(key);
+          ASSERT_EQ(table.erase(key), it != ref.end()) << "step " << step;
+          if (it != ref.end()) ref.erase(it);
+          break;
+        }
+        case 3: {  // drop every pin to one core (rarer)
+          if (rng.below(4) != 0) break;
+          const std::size_t expected = static_cast<std::size_t>(std::count_if(
+              ref.begin(), ref.end(),
+              [core](const auto& pin) { return pin.second == core; }));
+          ASSERT_EQ(table.remove_core_entries(core), expected);
+          std::erase_if(
+              ref, [core](const auto& pin) { return pin.second == core; });
+          break;
+        }
+        case 4: {  // clear (rare)
+          if (rng.below(64) != 0) break;
+          table.clear();
+          ref.clear();
+          break;
+        }
+        default: {  // audit: lookups and the eviction order
+          const auto it = find(key);
+          const auto pinned = table.lookup(key);
+          ASSERT_EQ(pinned.has_value(), it != ref.end()) << "step " << step;
+          if (pinned) {
+            ASSERT_EQ(*pinned, it->second);
+          }
+          ASSERT_EQ(table.size(), ref.size());
+          std::vector<std::uint64_t> keys;
+          for (const auto& pin : ref) keys.push_back(pin.first);
+          ASSERT_EQ(table.keys_in_order(), keys) << "step " << step;
+          break;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MigrationTableModelCheck,
+                         ::testing::Values(1, 2, 3, 5, 8, 13));
 
 // ---------------------------------------------------------- CoreAllocator ---
 

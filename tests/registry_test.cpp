@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "cache/lfu_cache.h"
+#include "core/migration_table.h"
 #include "exp/dispatcher_registry.h"
 #include "exp/scheduler_registry.h"
 #include "traffic/generator.h"
@@ -117,6 +120,63 @@ TEST(SchedulerSpecErrors, HelpMentionsEveryScheduler) {
   const std::string help = scheduler_spec_help();
   for (const std::string& name : scheduler_names()) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
+  }
+}
+
+// The AFD and migration tables are allocated in full at construction, so
+// their sizes are bounded where the spec is parsed: `laps:annex=4000000000`
+// must die with a located error, not try to allocate tens of GB.
+TEST(SchedulerSpecErrors, TableSizesAreBoundedAtParseTime) {
+  for (const char* scheduler : {"laps", "hash-migrate", "adaptive-afd"}) {
+    for (const char* key : {"afc", "annex", "pins"}) {
+      for (const char* value : {"0", "1048577", "4000000000"}) {
+        const std::string spec =
+            std::string(scheduler) + ":" + key + "=" + value;
+        const std::string msg = error_of(spec);
+        ASSERT_FALSE(msg.empty()) << spec << " must be rejected";
+        for (const std::string& part :
+             {std::string(scheduler), "'" + std::string(key) + "'",
+              std::string("[1, 1048576]"), "'" + std::string(value) + "'"}) {
+          EXPECT_NE(msg.find(part), std::string::npos)
+              << "error must name " << part << ": " << msg;
+        }
+        EXPECT_THROW(canonical_scheduler_spec(spec), SchedulerSpecError);
+      }
+      const std::string at_bound =
+          std::string(scheduler) + ":" + key + "=1048576";
+      EXPECT_EQ(canonical_scheduler_spec(at_bound), at_bound);
+    }
+  }
+}
+
+TEST(SchedulerSpecErrors, U32ParametersRejectInsteadOfTruncating) {
+  // 2^32 used to wrap to 0 through a static_cast.
+  const std::string msg = error_of("laps:high_th=4294967296");
+  ASSERT_FALSE(msg.empty());
+  EXPECT_NE(msg.find("'high_th'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("[0, 4294967295]"), std::string::npos) << msg;
+  EXPECT_THROW(canonical_scheduler_spec("afs:high_th=99999999999"),
+               SchedulerSpecError);
+  EXPECT_EQ(canonical_scheduler_spec("laps:high_th=4294967295"),
+            "laps:high_th=4294967295");
+}
+
+TEST(TableCapacity, ConstructorsRejectUnaddressableCapacities) {
+  // Checked before any allocation, so these throw instantly.
+  for (const std::size_t capacity :
+       {LfuCache<std::uint64_t>::kMaxCapacity + 1,
+        std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_THROW(LfuCache<std::uint64_t>{capacity}, std::invalid_argument);
+    EXPECT_THROW(MigrationTable{capacity}, std::invalid_argument);
+  }
+  try {
+    MigrationTable table(MigrationTable::kMaxCapacity + 1);
+    FAIL() << "must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(MigrationTable::kMaxCapacity + 1)),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -448,6 +508,13 @@ TEST(DispatcherSpecErrors, MalformedSpecsAllThrow) {
     EXPECT_THROW(canonical_dispatcher_spec(spec), DispatcherSpecError)
         << spec;
   }
+}
+
+TEST(DispatcherSpecErrors, U32ParametersRejectInsteadOfTruncating) {
+  const std::string msg = dispatch_error_of("pass:shard=4294967296");
+  ASSERT_FALSE(msg.empty()) << "2^32 must not wrap to shard 0";
+  EXPECT_NE(msg.find("'shard'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("[0, 4294967295]"), std::string::npos) << msg;
 }
 
 TEST(DispatcherSpecErrors, ListRejectsEmptySegments) {
