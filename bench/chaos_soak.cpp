@@ -113,7 +113,6 @@ int run(laps::Flags& flags) {
                           std::string* timeline_json) -> laps::SimReport {
         laps::ScenarioConfig cfg = laps::make_paper_scenario(scenario, opts);
         cfg.faults = faults;
-        if (harness.event_queue) cfg.event_queue = *harness.event_queue;
         auto scheduler = make();
         laps::ProbeSet extra;
         extra.add(&audit);

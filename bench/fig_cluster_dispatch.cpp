@@ -101,7 +101,6 @@ int run(laps::Flags& flags) {
   cluster.cores_per_shard = cores;
   cluster.queue_capacity = scenario.queue_capacity;
   cluster.delay = scenario.delay;
-  cluster.event_queue = scenario.event_queue;
   cluster.threads = harness.jobs;
   cluster.make_scheduler = scheduler.make;
   if (!sync_spec.empty()) {

@@ -1,17 +1,13 @@
 // perf_kernel: packets-per-second of the simulation kernel itself.
 //
 // Traffic is generated ONCE into a ReplayStream, then replayed through
-// six kernels, so the (dominant) cost of online packet generation is out
+// nine kernels, so the (dominant) cost of online packet generation is out
 // of the timed loop and the numbers compare pure kernel throughput:
 //
 //   npu            the retained seed kernel (std::deque queues, per-flow
 //                  state in four parallel vectors, SimReport built inline)
 //   engine         the SimEngine with NO probes attached — the bare
-//                  discrete-event loop on its default TimingWheel
-//                  completion queue, nothing measured
-//   engine+heap    the bare SimEngine on the retained EventHeap oracle
-//                  (--event-queue=heap); engine vs engine+heap isolates
-//                  the wheel's win over the binary heap
+//                  discrete-event loop, nothing measured
 //   engine+report  the SimEngine with a ReportProbe, i.e. exactly what
 //                  run_scenario does for every bench and test
 //   engine+audit   the SimEngine with a FlowAuditProbe — exact per-flow
@@ -159,23 +155,20 @@ int run(Flags& flags) {
   NpuConfig npu_cfg;
   npu_cfg.num_cores = cores;
   SimEngineConfig eng_cfg;
-  eng_cfg.num_cores = cores;  // event_queue defaults to the TimingWheel
-  SimEngineConfig heap_cfg = eng_cfg;
-  heap_cfg.event_queue = EventQueueKind::kHeap;
+  eng_cfg.num_cores = cores;
   // The telemetry row needs epoch boundaries for its gauge/snapshot work —
   // that cost is part of what --telemetry charges, so it belongs in the row.
   SimEngineConfig telem_cfg = eng_cfg;
   telem_cfg.epoch_ns = 100 * kMicrosecond;
 
-  Measurement npu{"npu"}, engine{"engine"}, engine_heap{"engine+heap"},
-      engine_report{"engine+report"}, engine_audit{"engine+audit"},
-      engine_flight{"engine+flight"}, engine_laps{"engine+laps"},
-      engine_telem{"engine+telemetry"}, cluster_pass{"cluster+pass"},
-      cluster_rss{"cluster+rss"};
-  npu.packets = engine.packets = engine_heap.packets =
-      engine_report.packets = engine_audit.packets = engine_flight.packets =
-          engine_laps.packets = engine_telem.packets = cluster_pass.packets =
-              cluster_rss.packets = replay.size();
+  Measurement npu{"npu"}, engine{"engine"}, engine_report{"engine+report"},
+      engine_audit{"engine+audit"}, engine_flight{"engine+flight"},
+      engine_laps{"engine+laps"}, engine_telem{"engine+telemetry"},
+      cluster_pass{"cluster+pass"}, cluster_rss{"cluster+rss"};
+  npu.packets = engine.packets = engine_report.packets =
+      engine_audit.packets = engine_flight.packets = engine_laps.packets =
+          engine_telem.packets = cluster_pass.packets = cluster_rss.packets =
+              replay.size();
   SimReport check_npu, check_engine;
   SimReport check_cluster;
 
@@ -215,7 +208,6 @@ int run(Flags& flags) {
     return time_engine_cfg(eng_cfg, probe);
   };
   const auto time_engine = [&]() { return time_engine_probe(nullptr); };
-  const auto time_heap = [&]() { return time_engine_cfg(heap_cfg, nullptr); };
   const auto time_report = [&]() {
     ReportProbe probe;
     const double s = time_engine_probe(&probe);
@@ -285,7 +277,7 @@ int run(Flags& flags) {
     return time_cluster(cores >= 4 ? 4 : 1, rss, nullptr);
   };
 
-  // One warm-up pass, then `reps` interleaved passes (noise hits all eight
+  // One warm-up pass, then `reps` interleaved passes (noise hits all
   // kernels alike); best-of wins. The telemetry row runs right after the
   // report row, not after engine+laps: the laps pass is ~3.5x longer and
   // leaves enough cache/allocator wake to inflate whichever row follows
@@ -293,7 +285,6 @@ int run(Flags& flags) {
   // budget (5%) riding on that comparison.
   time_npu();
   time_engine();
-  time_heap();
   time_report();
   time_telemetry();
   time_audit();
@@ -310,7 +301,6 @@ int run(Flags& flags) {
   for (int r = 0; r < reps; ++r) {
     keep_best(npu, time_npu(), r);
     keep_best(engine, time_engine(), r);
-    keep_best(engine_heap, time_heap(), r);
     keep_best(engine_report, time_report(), r);
     keep_best(engine_telem, time_telemetry(), r);
     keep_best(engine_audit, time_audit(), r);
@@ -322,8 +312,6 @@ int run(Flags& flags) {
 
   // The two reporting kernels must agree exactly — this bench doubles as a
   // cheap end-to-end equivalence check (the real one is the golden suite).
-  // check_npu comes from the seed kernel's own heap, check_engine from the
-  // wheel-backed SimEngine, so this also cross-checks the two queues.
   if (report_to_json(check_npu) != report_to_json(check_engine)) {
     throw std::logic_error("perf_kernel: npu and engine reports differ");
   }
@@ -335,7 +323,6 @@ int run(Flags& flags) {
   }
 
   const double speedup = npu.best_seconds / engine.best_seconds;
-  const double wheel_speedup = engine_heap.best_seconds / engine.best_seconds;
   const auto overhead_vs_engine = [&](const Measurement& m) {
     return m.best_seconds / engine.best_seconds - 1.0;
   };
@@ -349,9 +336,9 @@ int run(Flags& flags) {
       cluster_pass.best_seconds / engine_report.best_seconds - 1.0;
 
   const std::vector<const Measurement*> rows = {
-      &npu,          &engine,        &engine_heap, &engine_report,
-      &engine_audit, &engine_flight, &engine_laps, &engine_telem,
-      &cluster_pass, &cluster_rss};
+      &npu,          &engine,       &engine_report, &engine_audit,
+      &engine_flight, &engine_laps, &engine_telem,  &cluster_pass,
+      &cluster_rss};
 
   std::printf("=== Kernel throughput: %llu replayed packets/run, %zu cores, "
               "best of %d ===\n\n",
@@ -378,8 +365,6 @@ int run(Flags& flags) {
                 "or not Linux)\n\n");
   }
   std::printf("engine speedup over npu (null probes): %.2fx\n", speedup);
-  std::printf("TimingWheel speedup over EventHeap (bare engine): %.2fx\n",
-              wheel_speedup);
   std::printf("ReportProbe overhead over null probes: %.1f%%\n",
               probe_overhead * 100.0);
   std::printf("FlowAuditProbe overhead over null probes: %.1f%%\n",
@@ -421,7 +406,6 @@ int run(Flags& flags) {
     }
     w.end_array();
     w.field("engine_speedup_vs_npu", speedup);
-    w.field("wheel_speedup_vs_heap", wheel_speedup);
     w.field("report_probe_overhead", probe_overhead);
     w.field("audit_probe_overhead", audit_overhead);
     w.field("flight_probe_overhead", flight_overhead);

@@ -18,10 +18,10 @@
 #include "core/map_table.h"
 #include "core/migration_table.h"
 #include "sim/event_heap.h"
-#include "sim/timing_wheel.h"
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
 #include "util/crc.h"
+#include "util/toeplitz.h"
 
 namespace laps {
 namespace {
@@ -71,6 +71,20 @@ void BM_Crc16FiveTuple(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Crc16FiveTuple);
+
+// The NIC receive-side-scaling hash the cluster's rss and fdir dispatchers
+// compute per packet, on the same tuples as the CRC16 row.
+void BM_ToeplitzFiveTuple(benchmark::State& state) {
+  const auto packets = make_packets(4096, 1);
+  const ToeplitzHash hash;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash.hash(packets[i].tuple));
+    i = (i + 1) & 4095;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ToeplitzFiveTuple);
 
 // Stage 2: map-table (incremental hashing) bucket lookup.
 void BM_MapTableLookup(benchmark::State& state) {
@@ -177,20 +191,17 @@ void BM_MigrationTable(benchmark::State& state) {
 }
 BENCHMARK(BM_MigrationTable);
 
-// DES substrate: event heap push+pop at simulator-typical occupancy.
-// Pop-modify-push cycle at the simulator's steady-state occupancy (one
-// pending completion per busy core, 17 events). The Arg is the reschedule
-// horizon in ticks: 150 is the engine's regime (service latencies a couple
-// hundred ns out, where the wheel's single-tick near level pays off);
-// 10000 scatters events across wheel blocks (the cascade-heavy regime a
-// coarse-timer workload would see).
-template <template <typename> class Q>
-void queue_push_pop(benchmark::State& state) {
+// DES substrate: the engine's completion heap, pop-modify-push at the
+// simulator's steady-state occupancy (one pending completion per busy core,
+// 17 events). The Arg is the reschedule horizon in ticks: 150 is the
+// engine's regime (service latencies a couple hundred ns out); 10000
+// spreads events the way a coarse-timer workload would.
+void BM_EventHeapPushPop(benchmark::State& state) {
   struct Ev {
     TimeNs time;
   };
   const auto horizon = static_cast<std::uint64_t>(state.range(0));
-  Q<Ev> queue;
+  EventHeap<Ev> queue;
   Rng rng(6);
   for (int i = 0; i < 17; ++i) {
     queue.push(Ev{static_cast<TimeNs>(rng.below(horizon))});
@@ -202,16 +213,7 @@ void queue_push_pop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_EventHeapPushPop(benchmark::State& state) {
-  queue_push_pop<EventHeap>(state);
-}
 BENCHMARK(BM_EventHeapPushPop)->Arg(150)->Arg(10'000);
-
-void BM_TimingWheelPushPop(benchmark::State& state) {
-  queue_push_pop<TimingWheel>(state);
-}
-BENCHMARK(BM_TimingWheelPushPop)->Arg(150)->Arg(10'000);
 
 // End-to-end simulator throughput in simulated packets per wall second.
 void BM_FullSimulation(benchmark::State& state) {

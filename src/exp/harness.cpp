@@ -109,10 +109,6 @@ HarnessOptions parse_harness_flags(Flags& flags) {
   if (!opts.fault_timeline_path.empty() && opts.faults == nullptr) {
     throw std::invalid_argument("--fault-timeline requires --faults=SPEC");
   }
-  const std::string queue_spec = flags.get_string("event-queue", "");
-  if (!queue_spec.empty()) {
-    opts.event_queue = parse_event_queue_kind(queue_spec);
-  }
   opts.scheduler_list = flags.get_string("scheduler", "");
   if (!opts.scheduler_list.empty()) {
     // Parsed here so a typo fails before any grid starts running; the
@@ -186,7 +182,7 @@ ParallelRunner make_runner(const HarnessOptions& opts) {
   policy.journal_path = opts.journal_path;
   policy.resume = opts.resume;
   // Salt the journal with every harness option that changes what a job
-  // computes: resuming under a different event queue or fault plan must
+  // computes: resuming under a different fault plan or cluster shape must
   // invalidate the journal, not silently mix results.
   auto fold = [](std::uint64_t h, const std::string& s) {
     for (const char c : s) {
@@ -195,9 +191,9 @@ ParallelRunner make_runner(const HarnessOptions& opts) {
     return mix64(h ^ s.size());
   };
   std::uint64_t salt = fold(0x1A95'0001, opts.faults_spec);
-  salt = fold(salt, opts.event_queue.has_value()
-                        ? std::to_string(static_cast<int>(*opts.event_queue))
-                        : std::string());
+  // The empty string sits where an event-queue override used to be folded,
+  // so journals written by default runs of older builds still resume.
+  salt = fold(salt, std::string());
   salt = fold(salt, std::to_string(opts.shards));
   salt = fold(salt, opts.dispatch_spec);
   salt = fold(salt, std::to_string(opts.cluster_sync));
@@ -276,17 +272,12 @@ bool any_probe_configured(const HarnessOptions& opts) {
 SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
                        const HarnessOptions& opts) {
   // A --faults plan on the command line applies to every scenario in the
-  // grid that does not already carry its own plan; --event-queue overrides
-  // every scenario's queue selection.
+  // grid that does not already carry its own plan.
   ScenarioConfig overridden_config;
   const ScenarioConfig* effective = &config;
-  const bool apply_faults = opts.faults != nullptr && config.faults == nullptr;
-  const bool apply_queue =
-      opts.event_queue.has_value() && *opts.event_queue != config.event_queue;
-  if (apply_faults || apply_queue) {
+  if (opts.faults != nullptr && config.faults == nullptr) {
     overridden_config = config;
-    if (apply_faults) overridden_config.faults = opts.faults;
-    if (apply_queue) overridden_config.event_queue = *opts.event_queue;
+    overridden_config.faults = opts.faults;
     effective = &overridden_config;
   }
   if (!any_probe_configured(opts) && opts.fault_timeline_path.empty()) {
@@ -421,8 +412,7 @@ SimReport run_observed(const ScenarioConfig& config, Scheduler& scheduler,
 }
 
 ExperimentPlan::JobRunner observed_runner(const HarnessOptions& opts) {
-  if (!any_probe_configured(opts) && opts.faults == nullptr &&
-      !opts.event_queue.has_value()) {
+  if (!any_probe_configured(opts) && opts.faults == nullptr) {
     return {};
   }
   return [opts](const ScenarioConfig& config, Scheduler& scheduler) {

@@ -32,8 +32,8 @@ class JournalError : public std::runtime_error {
 };
 
 /// Stable identity of one grid cell. Mixes the plan seed, a salt covering
-/// every runner-level option that changes job output (event-queue override,
-/// fault spec — see make_runner), the cell's position, its scenario and
+/// every runner-level option that changes job output (fault spec, cluster
+/// shape — see make_runner), the cell's position, its scenario and
 /// scheduler names, and its derived seed. A resumed journal only replays a
 /// record when the fingerprint matches, so editing the grid, the scheduler
 /// list, or the plan seed invalidates exactly the cells that changed.

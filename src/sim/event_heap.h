@@ -13,14 +13,13 @@ namespace laps {
 /// Events are ordered by (time, insertion sequence): two events at the same
 /// tick pop in the order they were scheduled — the FIFO invariant. This
 /// makes simulations fully deterministic (std::priority_queue alone does
-/// not guarantee a stable order for ties) and is the ordering contract the
-/// TimingWheel replicates, so the differential suite can demand
-/// bit-identical runs from either queue. `Ev` must expose a public
+/// not guarantee a stable order for ties). `Ev` must expose a public
 /// `TimeNs time` member.
 ///
-/// The simulator's working set is tiny (one pending arrival plus one
-/// completion per busy core), so a flat binary heap beats fancier calendar
-/// queues on locality.
+/// The simulator's working set is tiny (at most one pending completion per
+/// core, plus a stall wake-up per stalled core), so a flat binary heap of a
+/// few cache lines beats fancier calendar queues: a hierarchical timing
+/// wheel won its microbenchmark and lost end to end (DESIGN.md §7).
 template <typename Ev>
 class EventHeap {
  public:
@@ -57,6 +56,10 @@ class EventHeap {
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
+
+  /// Pre-allocates room for `n` events so a bounded working set never
+  /// reallocates on the fast path.
+  void reserve(std::size_t n) { heap_.reserve(n); }
 
   /// Empties the heap and resets the insertion sequence, so a cleared heap
   /// replays a schedule bit-identically to a fresh one. (Without the seq

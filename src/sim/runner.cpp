@@ -35,7 +35,6 @@ SimReport run_scenario(const ScenarioConfig& config, Scheduler& scheduler,
   engine_config.delay = config.delay;
   engine_config.restore_order = config.restore_order;
   engine_config.epoch_ns = epoch_ns;
-  engine_config.event_queue = config.event_queue;
 
   const bool faulted = config.faults != nullptr && !config.faults->empty();
   if (faulted) engine_config.faults = config.faults.get();

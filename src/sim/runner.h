@@ -32,9 +32,9 @@ struct ScenarioConfig {
   /// FaultTrafficStream. Null = fault-free (the default, zero overhead).
   /// shared_ptr so ScenarioConfig stays copyable into job closures.
   std::shared_ptr<const FaultPlan> faults;
-  /// Completion-queue implementation (SimEngineConfig::event_queue): the
-  /// TimingWheel default, or the EventHeap differential oracle.
-  EventQueueKind event_queue = EventQueueKind::kWheel;
+  /// Kept only for the benchmark sources, which copy it into
+  /// SimEngineConfig::event_queue; the engine has one queue and ignores it.
+  EventQueueKind event_queue = EventQueueKind::kHeap;
   std::vector<ServiceTraffic> services;
 };
 

@@ -129,7 +129,7 @@ class TelemetryProbe final : public SimProbe {
   // Instrument ids (registered in the constructor).
   CounterId c_offered_, c_dropped_, c_dispatched_, c_delivered_;
   CounterId c_ooo_, c_migrations_;
-  CounterId c_completions_, c_cascades_;
+  CounterId c_completions_;
   CounterId c_core_grants_, c_core_denied_, c_parks_, c_wakes_;
   CounterId c_afd_promotions_, c_aggressive_migrations_;
   CounterId c_fault_events_;
@@ -147,7 +147,6 @@ class TelemetryProbe final : public SimProbe {
   // Engine-sample counters arrive as cumulative values; deltas feed the
   // registry so they stay monotone counters in expositions.
   std::uint64_t last_completions_ = 0;
-  std::uint64_t last_cascades_ = 0;
   std::int64_t outages_in_flight_ = 0;
   TimeNs next_snapshot_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "util/toeplitz.h"
 
+#include <bit>
+
 namespace laps {
 
 // Microsoft's RSS verification key (NDIS documentation).
@@ -9,40 +11,31 @@ const std::array<std::uint8_t, 40> ToeplitzHash::kDefaultKey = {
     0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30,
     0xf2, 0x0c, 0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa};
 
-ToeplitzHash::ToeplitzHash(const std::array<std::uint8_t, 40>& key)
-    : key_(key) {}
-
-std::uint32_t ToeplitzHash::hash_bytes(const std::uint8_t* data,
-                                       std::size_t len) const {
-  // Classic bit-serial Toeplitz: for each input bit set, XOR in the 32-bit
-  // window of the key starting at that bit position.
-  std::uint32_t result = 0;
-  std::uint32_t window = (std::uint32_t(key_[0]) << 24) |
-                         (std::uint32_t(key_[1]) << 16) |
-                         (std::uint32_t(key_[2]) << 8) | key_[3];
-  std::size_t next_key_byte = 4;
-  for (std::size_t i = 0; i < len; ++i) {
-    std::uint8_t byte = data[i];
-    for (int bit = 7; bit >= 0; --bit) {
-      if (byte & (1u << bit)) result ^= window;
-      // Slide the key window left by one bit, pulling in the next key bit.
-      const std::uint8_t next_key_bit =
-          next_key_byte < key_.size()
-              ? (key_[next_key_byte] >> bit) & 1u
-              : 0u;
-      window = (window << 1) | next_key_bit;
+ToeplitzHash::ToeplitzHash(const std::array<std::uint8_t, 40>& key) {
+  // The 32-bit key window starting at key bit `bit` (bits numbered from
+  // the most significant bit of key[0]). The 12-byte input needs windows up
+  // to bit 95, i.e. key bytes 0..15.
+  const auto window = [&key](std::size_t bit) {
+    const std::size_t byte = bit / 8;
+    const std::uint64_t five = (std::uint64_t(key[byte]) << 32) |
+                               (std::uint64_t(key[byte + 1]) << 24) |
+                               (std::uint64_t(key[byte + 2]) << 16) |
+                               (std::uint64_t(key[byte + 3]) << 8) |
+                               key[byte + 4];
+    return static_cast<std::uint32_t>(five >> (8 - bit % 8));
+  };
+  for (std::size_t i = 0; i < kInputBytes; ++i) {
+    std::array<std::uint32_t, 256>& row = table_[i];
+    row[0] = 0;
+    // Bit j of the byte (j = 7 is the MSB, fed first) selects the window
+    // at key bit 8i + (7 - j); a value's entry is the XOR of its bits'
+    // windows, built from the entry without its lowest set bit.
+    for (std::size_t b = 1; b < 256; ++b) {
+      const auto low = static_cast<std::size_t>(
+          std::countr_zero(static_cast<unsigned>(b)));
+      row[b] = row[b & (b - 1)] ^ window(8 * i + (7 - low));
     }
-    ++next_key_byte;
   }
-  return result;
-}
-
-std::uint32_t ToeplitzHash::hash(const FiveTuple& tuple) const {
-  // RSS TCP/IPv4 input: src ip, dst ip, src port, dst port (network order).
-  std::uint8_t input[12];
-  const auto wire = tuple.wire_bytes();
-  for (int i = 0; i < 12; ++i) input[i] = wire[i];
-  return hash_bytes(input, sizeof input);
 }
 
 std::uint16_t naive_fold_hash(const FiveTuple& tuple) {

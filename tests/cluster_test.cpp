@@ -15,7 +15,6 @@
 #include "sim/fault.h"
 #include "sim/report_json.h"
 #include "sim/runner.h"
-#include "sim/timing_wheel.h"
 #include "trace/synthetic.h"
 #include "traffic/generator.h"
 
@@ -61,7 +60,6 @@ ClusterConfig cluster_config(const ScenarioConfig& cfg, std::size_t shards,
   cluster.queue_capacity = cfg.queue_capacity;
   cluster.delay = cfg.delay;
   cluster.restore_order = cfg.restore_order;
-  cluster.event_queue = cfg.event_queue;
   cluster.threads = threads;
   cluster.make_scheduler = [] { return make_scheduler("afs"); };
   return cluster;
@@ -77,46 +75,41 @@ std::shared_ptr<const FaultPlan> core_fault_plan() {
 
 // The acceptance bar of the cluster layer: one shard behind the pass
 // dispatcher IS the single-engine path — byte-identical SimReport JSON,
-// across both event-queue implementations, order restoration, and a fault
-// plan (whose trailing-event and frozen-clock rules the stepping API must
-// reproduce exactly).
+// with and without order restoration and a fault plan (whose
+// trailing-event and frozen-clock rules the stepping API must reproduce
+// exactly).
 TEST(ClusterIdentity, SingleShardPassMatchesEngineByteForByte) {
-  for (const EventQueueKind queue :
-       {EventQueueKind::kWheel, EventQueueKind::kHeap}) {
-    for (const bool restore : {false, true}) {
-      for (const bool faulted : {false, true}) {
-        ScenarioConfig cfg = small_scenario(42, restore);
-        cfg.event_queue = queue;
-        if (faulted) cfg.faults = core_fault_plan();
+  for (const bool restore : {false, true}) {
+    for (const bool faulted : {false, true}) {
+      ScenarioConfig cfg = small_scenario(42, restore);
+      if (faulted) cfg.faults = core_fault_plan();
 
-        auto engine_sched = make_scheduler("afs");
-        const std::string engine_json =
-            report_to_json(run_scenario(cfg, *engine_sched));
+      auto engine_sched = make_scheduler("afs");
+      const std::string engine_json =
+          report_to_json(run_scenario(cfg, *engine_sched));
 
-        // run_scenario realizes traffic-side fault events by wrapping the
-        // generator; mirror that exactly (core-only plans pass traffic
-        // through unchanged, but the identity must not depend on that).
-        for (const ServiceTraffic& s : cfg.services) s.trace->reset();
-        PacketGenerator gen(cfg.services, cfg.seed, cfg.seconds);
-        ClusterConfig cluster = cluster_config(cfg, 1);
-        if (faulted) cluster.shard_faults = {cfg.faults};
-        PassDispatcher pass;
-        ClusterReport report;
-        if (faulted) {
-          FaultTrafficStream stream(gen, *cfg.faults);
-          report = run_cluster(cluster, stream, pass);
-        } else {
-          report = run_cluster(cluster, gen, pass);
-        }
-        ASSERT_EQ(report.shards.size(), 1u);
-        ASSERT_EQ(report_to_json(report.shards[0]), engine_json)
-            << "queue=" << (queue == EventQueueKind::kWheel ? "wheel" : "heap")
-            << " restore=" << restore << " faulted=" << faulted;
-        // The merged detector over one shard is the shard's own detector.
-        EXPECT_EQ(report.cluster_out_of_order, report.shards[0].out_of_order);
-        EXPECT_EQ(report.cross_np_out_of_order, 0u);
-        EXPECT_EQ(report.cross_np_migrations, 0u);
+      // run_scenario realizes traffic-side fault events by wrapping the
+      // generator; mirror that exactly (core-only plans pass traffic
+      // through unchanged, but the identity must not depend on that).
+      for (const ServiceTraffic& s : cfg.services) s.trace->reset();
+      PacketGenerator gen(cfg.services, cfg.seed, cfg.seconds);
+      ClusterConfig cluster = cluster_config(cfg, 1);
+      if (faulted) cluster.shard_faults = {cfg.faults};
+      PassDispatcher pass;
+      ClusterReport report;
+      if (faulted) {
+        FaultTrafficStream stream(gen, *cfg.faults);
+        report = run_cluster(cluster, stream, pass);
+      } else {
+        report = run_cluster(cluster, gen, pass);
       }
+      ASSERT_EQ(report.shards.size(), 1u);
+      ASSERT_EQ(report_to_json(report.shards[0]), engine_json)
+          << "restore=" << restore << " faulted=" << faulted;
+      // The merged detector over one shard is the shard's own detector.
+      EXPECT_EQ(report.cluster_out_of_order, report.shards[0].out_of_order);
+      EXPECT_EQ(report.cross_np_out_of_order, 0u);
+      EXPECT_EQ(report.cross_np_migrations, 0u);
     }
   }
 }

@@ -1,18 +1,14 @@
-// Unit tests for the two completion-queue implementations: the hierarchical
-// TimingWheel (the default) and the binary EventHeap (the differential
-// oracle). Both must implement the identical (time, insertion-sequence)
-// ordering contract; the scenario-level differential grid lives in
-// property_test.cpp, the randomized operation fuzz in event_queue_fuzz.cpp.
+// Unit tests for the engine's completion queue, the binary EventHeap: the
+// (time, insertion-sequence) ordering contract and clear/reuse. The
+// randomized operation fuzz against a reference model lives in
+// event_queue_fuzz.cpp; the basic heap contract in sim_test.cpp and
+// engine_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/event_heap.h"
-#include "sim/timing_wheel.h"
 #include "util/rng.h"
 
 namespace laps {
@@ -27,8 +23,7 @@ struct Ev {
 
 using PopLog = std::vector<std::pair<TimeNs, int>>;
 
-template <typename Queue>
-PopLog drain(Queue& q) {
+PopLog drain(EventHeap<Ev>& q) {
   PopLog log;
   while (!q.empty()) {
     const Ev e = q.pop();
@@ -38,37 +33,6 @@ PopLog drain(Queue& q) {
 }
 
 // ------------------------------------------------------- ordering basics ---
-
-TEST(TimingWheel, PopsInTimeOrder) {
-  TimingWheel<Ev> wheel;
-  const std::vector<TimeNs> times = {907, 3, 64, 65, 4096, 12, 63,
-                                     4095, 128, 1, 0, 262144, 70};
-  int id = 0;
-  for (TimeNs t : times) wheel.push(Ev{t, id++});
-  std::vector<TimeNs> sorted = times;
-  std::sort(sorted.begin(), sorted.end());
-  const PopLog log = drain(wheel);
-  ASSERT_EQ(log.size(), times.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(log[i].first, sorted[i]) << "position " << i;
-  }
-}
-
-// Two events at the same tick pop in the order they were pushed — the FIFO
-// invariant both queues must share for runs to be bit-identical.
-TEST(TimingWheel, FifoAmongSameTickEvents) {
-  TimingWheel<Ev> wheel;
-  for (int i = 0; i < 8; ++i) wheel.push(Ev{100, i});
-  wheel.push(Ev{50, 100});
-  for (int i = 8; i < 16; ++i) wheel.push(Ev{100, i});
-  const PopLog log = drain(wheel);
-  ASSERT_EQ(log.size(), 17u);
-  EXPECT_EQ(log[0], (std::pair<TimeNs, int>{50, 100}));
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(log[static_cast<std::size_t>(i) + 1],
-              (std::pair<TimeNs, int>{100, i}));
-  }
-}
 
 TEST(EventHeap, FifoAmongSameTickEvents) {
   EventHeap<Ev> heap;
@@ -88,166 +52,16 @@ TEST(EventHeap, FifoAmongSameTickEvents) {
   }
 }
 
-// ------------------------------------------------------ peek is a no-op ---
-
-TEST(TimingWheel, TopDoesNotAdvanceTheWheel) {
-  TimingWheel<Ev> wheel;
-  wheel.push(Ev{4016, 1});
-  EXPECT_EQ(wheel.top_time(), 4016);
-  EXPECT_EQ(wheel.top().id, 1);
-  // The SimEngine peeks the next completion, then an arrival earlier than
-  // it starts service on an idle core and schedules *before* the peeked
-  // minimum. A peek that committed the wheel position would reject this.
-  wheel.push(Ev{1144, 2});
-  EXPECT_EQ(wheel.top_time(), 1144);
-  EXPECT_EQ(wheel.top().id, 2);
-  EXPECT_EQ(wheel.pop().id, 2);
-  EXPECT_EQ(wheel.pop().id, 1);
-}
-
-// Regression for the first-push origin bug: pushing onto an *empty* wheel
-// must not move the origin forward to the pushed time, because the caller's
-// clock may still be far behind it (first completion of a run, second idle
-// core starting service at an earlier arrival).
-TEST(TimingWheel, EmptyPushDoesNotJumpOriginForward) {
-  TimingWheel<Ev> wheel;
-  wheel.push(Ev{4016, 1});           // empty push, far ahead of the origin
-  EXPECT_NO_THROW(wheel.push(Ev{1144, 2}));  // earlier, still legal
-  EXPECT_EQ(wheel.pop().id, 2);
-  EXPECT_EQ(wheel.pop().id, 1);
-}
-
-TEST(TimingWheel, EmptyPushMovesOriginBackward) {
-  TimingWheel<Ev> wheel;
-  wheel.push(Ev{1000, 1});
-  EXPECT_EQ(wheel.pop().id, 1);  // wheel position now 1000
-  // Empty again: an earlier push is accepted (the origin moves back)...
-  wheel.push(Ev{10, 2});
-  // ...and constrains later pushes as usual.
-  wheel.push(Ev{5000, 3});
-  EXPECT_EQ(wheel.pop().id, 2);
-  EXPECT_EQ(wheel.pop().id, 3);
-}
-
-// --------------------------------------------------------- error contract ---
-
-TEST(TimingWheel, RejectsPushIntoThePast) {
-  TimingWheel<Ev> wheel;
-  wheel.push(Ev{100, 1});
-  wheel.push(Ev{200, 2});
-  EXPECT_EQ(wheel.pop().time, 100);  // wheel position commits to 100
-  EXPECT_THROW(wheel.push(Ev{99, 3}), std::logic_error);
-  EXPECT_THROW(wheel.push(Ev{-1, 4}), std::logic_error);
-  EXPECT_EQ(wheel.pop().time, 200);  // the queue survives rejected pushes
-}
-
-TEST(TimingWheel, ThrowsOnEmptyAccess) {
-  TimingWheel<Ev> wheel;
-  EXPECT_TRUE(wheel.empty());
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_THROW(wheel.pop(), std::logic_error);
-  EXPECT_THROW(wheel.top(), std::logic_error);
-  EXPECT_THROW(wheel.top_time(), std::logic_error);
-}
-
-// ------------------------------------------------------ cascade mechanics ---
-
-// Slot-boundary times around every power-of-64 edge: these are the inputs
-// where a naive delta-based wheel mis-files events (revolution aliasing).
-TEST(TimingWheel, SlotBoundaryTimesStaySorted) {
-  const std::vector<TimeNs> boundaries = {
-      0,    1,    62,   63,   64,   65,   127,  128,    4094,  4095,
-      4096, 4097, 8191, 8192, 8193, 4160, 4161, 262143, 262144, 262145};
-  TimingWheel<Ev> wheel;
-  int id = 0;
-  for (TimeNs t : boundaries) wheel.push(Ev{t, id++});
-  std::vector<TimeNs> sorted = boundaries;
-  std::sort(sorted.begin(), sorted.end());
-  const PopLog log = drain(wheel);
-  ASSERT_EQ(log.size(), boundaries.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(log[i].first, sorted[i]) << "position " << i;
-  }
-}
-
-// The case the XOR placement exists for: an event one slot-span short of a
-// full level-1 revolution from the wheel position must not share a level-1
-// slot with the current position's own slot index.
-TEST(TimingWheel, NoRevolutionAliasing) {
-  TimingWheel<Ev> wheel;
-  wheel.push(Ev{100, 0});
-  wheel.push(Ev{101, 1});
-  EXPECT_EQ(wheel.pop().id, 0);  // wheel position 100 (level-1 digit 1)
-  // 4170 = 65*64 + 10: level-1 digit 1 == the current digit 1 under naive
-  // delta placement, but its true level-1 digit is 65 & 63 = 1 only by
-  // coincidence of wrap. With digit-difference placement it files at
-  // level 2 (digit 1 of 4170/4096 differs) — and must pop after 101 and
-  // after everything in between.
-  wheel.push(Ev{4170, 2});
-  wheel.push(Ev{120, 3});
-  EXPECT_EQ(wheel.pop().id, 1);
-  EXPECT_EQ(wheel.pop().id, 3);
-  EXPECT_EQ(wheel.pop().id, 2);
-}
-
-// Cascading is lazy: a short far slot is popped by direct unlink (no
-// redistribution at all), but once the wheel position advances *into* a
-// multi-tick slot's span, the slot's remaining events must cascade down so
-// the cross-level order stays exact.
-TEST(TimingWheel, StaleSlotsActuallyCascade) {
-  TimingWheel<Ev> wheel;
-  wheel.push(Ev{1, 0});
-  wheel.push(Ev{70'000, 1});  // same level-2 slot as 70'001 vs origin 0
-  wheel.push(Ev{70'001, 2});
-  EXPECT_EQ(wheel.pop().id, 0);
-  // Popping 70'000 moves the position into the level-2 slot still holding
-  // 70'001; the next locate must redistribute it (level-2 digit of the
-  // position now equals the slot index — the strict level order would
-  // otherwise be wrong).
-  EXPECT_EQ(wheel.pop().id, 1);
-  EXPECT_EQ(wheel.pop().id, 2);
-  EXPECT_GT(wheel.cascades(), 0u);
-}
-
-// A same-tick group bigger than the scan limit cascades (twice: level 2 to
-// 1 to 0) instead of being rescanned in place, and must still pop FIFO.
-TEST(TimingWheel, CascadePreservesFifoWithinATick) {
-  TimingWheel<Ev> wheel;
-  static_assert(10 > TimingWheel<Ev>::kCascadeScanLimit,
-                "group must exceed the scan limit to force the cascade path");
-  // All at the same far-away tick, pushed in id order from origin 0: they
-  // land in one level-2 slot, then cascade together.
-  for (int i = 0; i < 10; ++i) wheel.push(Ev{70'000, i});
-  wheel.push(Ev{5, 100});
-  EXPECT_EQ(wheel.pop().id, 100);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(wheel.pop().id, i) << "cascaded FIFO position " << i;
-  }
-  EXPECT_GT(wheel.cascades(), 1u);
-}
-
 // ------------------------------------------------------------ clear/reuse ---
 
 // clear() must reset the insertion sequence as well as the storage: a
-// cleared queue replays a schedule bit-identically to a fresh one.
-template <typename Queue>
-PopLog replay_schedule(Queue& q) {
+// cleared heap replays a schedule bit-identically to a fresh one.
+PopLog replay_schedule(EventHeap<Ev>& q) {
   Rng rng(77);
   for (int i = 0; i < 200; ++i) {
     q.push(Ev{static_cast<TimeNs>(rng.below(32)), i});  // dense tie field
   }
   return drain(q);
-}
-
-TEST(TimingWheel, ClearResetsToFreshState) {
-  TimingWheel<Ev> wheel;
-  const PopLog fresh = replay_schedule(wheel);
-  wheel.push(Ev{999, -1});  // leave residue, then wipe it
-  wheel.clear();
-  EXPECT_TRUE(wheel.empty());
-  EXPECT_EQ(wheel.cascades(), 0u);
-  const PopLog replay = replay_schedule(wheel);
-  EXPECT_EQ(fresh, replay);
 }
 
 TEST(EventHeap, ClearResetsToFreshState) {
@@ -258,57 +72,6 @@ TEST(EventHeap, ClearResetsToFreshState) {
   EXPECT_TRUE(heap.empty());
   const PopLog replay = replay_schedule(heap);
   EXPECT_EQ(fresh, replay);
-}
-
-// ----------------------------------------------------------- flag parsing ---
-
-TEST(EventQueueKindTest, NamesAndParsingRoundTrip) {
-  EXPECT_STREQ(event_queue_kind_name(EventQueueKind::kWheel), "wheel");
-  EXPECT_STREQ(event_queue_kind_name(EventQueueKind::kHeap), "heap");
-  EXPECT_EQ(parse_event_queue_kind("wheel"), EventQueueKind::kWheel);
-  EXPECT_EQ(parse_event_queue_kind("heap"), EventQueueKind::kHeap);
-  EXPECT_THROW(parse_event_queue_kind("calendar"), std::invalid_argument);
-  EXPECT_THROW(parse_event_queue_kind(""), std::invalid_argument);
-}
-
-// ------------------------------------------- wheel vs heap, dense random ---
-
-// Quick structural differential (the scenario-level one is in
-// property_test.cpp): identical randomized push/pop interleavings produce
-// identical pop logs. Deliberately tie-heavy.
-TEST(EventQueueDifferentialUnit, WheelMatchesHeapOnTieHeavySequences) {
-  for (std::uint64_t seed : {1ull, 7ull, 42ull, 20130806ull}) {
-    TimingWheel<Ev> wheel;
-    EventHeap<Ev> heap;
-    PopLog wheel_log;
-    PopLog heap_log;
-    Rng rng(seed);
-    TimeNs clock = 0;  // last popped time: the floor for legal pushes
-    int id = 0;
-    for (int op = 0; op < 2000; ++op) {
-      if (wheel.empty() || rng.chance(0.6)) {
-        const TimeNs t = clock + static_cast<TimeNs>(rng.below(8));
-        wheel.push(Ev{t, id});
-        heap.push(Ev{t, id});
-        ++id;
-      } else {
-        EXPECT_EQ(wheel.top_time(), heap.top_time());
-        const Ev w = wheel.pop();
-        const Ev h = heap.pop();
-        clock = w.time;
-        wheel_log.emplace_back(w.time, w.id);
-        heap_log.emplace_back(h.time, h.id);
-      }
-    }
-    while (!wheel.empty()) {
-      const Ev w = wheel.pop();
-      const Ev h = heap.pop();
-      wheel_log.emplace_back(w.time, w.id);
-      heap_log.emplace_back(h.time, h.id);
-    }
-    EXPECT_TRUE(heap.empty());
-    EXPECT_EQ(wheel_log, heap_log) << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -466,5 +466,14 @@ TEST(Harness, NegativeJobsRejected) {
   EXPECT_THROW(parse_harness_flags(flags), std::invalid_argument);
 }
 
+// The journal salt of a default run, as computed before the completion
+// queue became fixed: make_runner still folds an empty string where the
+// event-queue override used to go, so journals that older builds wrote
+// under default options keep resuming.
+TEST(Harness, DefaultJournalSaltIsStable) {
+  EXPECT_EQ(make_runner(HarnessOptions{}).policy().journal_salt,
+            0x23FA038A22540953ull);
+}
+
 }  // namespace
 }  // namespace laps

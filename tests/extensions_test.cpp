@@ -3,6 +3,7 @@
 // restoration), and LAPS power gating.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 #include <vector>
@@ -70,6 +71,64 @@ TEST(Toeplitz, SpreadsUniformly) {
   double chi2 = 0;
   for (int c : hist) chi2 += (c - expected) * (c - expected) / expected;
   EXPECT_LT(chi2, 60.0);
+}
+
+/// Bit-serial Toeplitz, the textbook definition the table hash must match:
+/// for every set input bit (most significant first), XOR in the 32-bit key
+/// window starting at that bit's position.
+std::uint32_t toeplitz_reference(const std::array<std::uint8_t, 40>& key,
+                                 const FiveTuple& tuple) {
+  const auto wire = tuple.wire_bytes();  // RSS input: its first 12 bytes
+  std::uint32_t result = 0;
+  for (std::size_t bit = 0; bit < 96; ++bit) {
+    if (((wire[bit / 8] >> (7 - bit % 8)) & 1u) == 0) continue;
+    std::uint32_t window = 0;
+    for (std::size_t k = 0; k < 32; ++k) {
+      const std::size_t kb = bit + k;
+      window = (window << 1) | ((key[kb / 8] >> (7 - kb % 8)) & 1u);
+    }
+    result ^= window;
+  }
+  return result;
+}
+
+TEST(Toeplitz, TableHashMatchesBitSerialReference) {
+  std::vector<std::array<std::uint8_t, 40>> keys;
+  keys.push_back(ToeplitzHash::kDefaultKey);
+  keys.emplace_back().fill(0xA5);
+  Rng rng(0x7E0B1172);
+  for (int k = 0; k < 4; ++k) {
+    auto& key = keys.emplace_back();
+    for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(rng.below(256));
+  }
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const ToeplitzHash hash(keys[k]);
+    for (int i = 0; i < 5000; ++i) {
+      FiveTuple t;
+      t.src_ip = static_cast<std::uint32_t>(rng.next());
+      t.dst_ip = static_cast<std::uint32_t>(rng.next());
+      t.src_port = static_cast<std::uint16_t>(rng.below(65536));
+      t.dst_port = static_cast<std::uint16_t>(rng.below(65536));
+      t.protocol = static_cast<std::uint8_t>(rng.below(256));
+      ASSERT_EQ(hash.hash(t), toeplitz_reference(keys[k], t))
+          << "key " << k << " tuple " << t.to_string();
+    }
+    // Single-bit inputs pin every table row's per-bit window on its own.
+    for (std::size_t bit = 0; bit < 96; ++bit) {
+      FiveTuple t;
+      if (bit < 32) {
+        t.src_ip = 1u << (31 - bit);
+      } else if (bit < 64) {
+        t.dst_ip = 1u << (63 - bit);
+      } else if (bit < 80) {
+        t.src_port = static_cast<std::uint16_t>(1u << (79 - bit));
+      } else {
+        t.dst_port = static_cast<std::uint16_t>(1u << (95 - bit));
+      }
+      ASSERT_EQ(hash.hash(t), toeplitz_reference(keys[k], t))
+          << "key " << k << " bit " << bit;
+    }
+  }
 }
 
 TEST(NaiveFoldHash, IsPredictablyBad) {

@@ -528,22 +528,21 @@ TEST(FaultScenario, ReferenceKernelRejectsFaultPlans) {
   EXPECT_THROW(run_scenario_reference(cfg, fcfs), std::invalid_argument);
 }
 
-// ------------------------------------------------ wheel-mode chaos slice ---
+// ------------------------------------------------------- chaos slice ---
 
-// A 20-schedule slice of the chaos_soak invariant grid run with the
-// TimingWheel completion queue: randomized-but-seeded fault plans
-// (down/up/slow/stall plus traffic bursts) across rotating schedulers, with
-// the soak harness's core invariants asserted per schedule. The full grid
-// lives in bench/chaos_soak (CI runs it sanitized with --event-queue=wheel);
-// this slice keeps the wheel+faults interaction — lazily cancelled
-// completions, stall wake-ups, mid-outage cascades — inside plain ctest.
+// A 20-schedule slice of the chaos_soak invariant grid: randomized-but-
+// seeded fault plans (down/up/slow/stall plus traffic bursts) across
+// rotating schedulers, with the soak harness's core invariants asserted per
+// schedule. The full grid lives in bench/chaos_soak (CI runs it under the
+// sanitizers); this slice keeps the queue+faults interaction — lazily
+// cancelled completions, stall wake-ups — inside plain ctest. The test
+// name dates from when the slice ran on a timing-wheel completion queue.
 TEST(FaultScenario, WheelSurvivesRandomChaosScheduleSlice) {
   constexpr int kSchedules = 20;
   for (int i = 0; i < kSchedules; ++i) {
     const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(i);
     ScenarioConfig cfg = fault_scenario(seed, "");
-    cfg.name = "wheel_chaos" + std::to_string(i);
-    cfg.event_queue = EventQueueKind::kWheel;
+    cfg.name = "chaos_slice" + std::to_string(i);
 
     RandomFaultParams params;
     params.horizon = from_us(cfg.seconds * 1e6);

@@ -429,27 +429,25 @@ INSTANTIATE_TEST_SUITE_P(AllB, DisruptionSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16,
                                            24, 31, 32));
 
-// ------------------------------------- heap vs wheel: bit-identical runs ---
+// ------------------------------------------ randomized observed runs ---
 
-// The TimingWheel replaced the EventHeap as the engine's completion queue;
-// the heap stays behind --event-queue=heap as the differential oracle.
-// These suites are the proof obligation: across randomized scenario
-// configurations — schedulers, core counts, queue depths, overload levels,
-// order restoration, fault schedules — a wheel run and a heap run must be
-// *bit-identical* on every observable surface: the report JSON, the
-// per-flow audit table, and the flight-recorder event sequence. Not
-// "statistically equivalent": byte-equal strings.
+// Across randomized scenario configurations — schedulers, core counts,
+// queue depths, overload levels, order restoration, fault schedules — one
+// run with the flow-audit and flight-recorder probes attached must keep the
+// engine's invariants, and a fault-free run's report must match the seed
+// Npu reference kernel byte for byte. The suite name dates from when every
+// run was replayed through two completion queues, a timing wheel and the
+// heap, and compared; the heap is now the only queue.
 
 /// Every deterministic observation surface of one simulation run.
 struct ObservedRun {
-  std::string report;
+  SimReport report;
   std::string audit;
   std::string flight;
 };
 
-ObservedRun run_with_queue(ScenarioConfig cfg, Scheduler& scheduler,
-                           EventQueueKind queue) {
-  cfg.event_queue = queue;
+ObservedRun run_observed_once(const ScenarioConfig& cfg,
+                              Scheduler& scheduler) {
   FlowAuditProbe audit(FlowAuditProbe::Options{8, 0});
   FlightRecorderConfig flight_cfg;
   flight_cfg.capacity = 1024;
@@ -458,23 +456,19 @@ ObservedRun run_with_queue(ScenarioConfig cfg, Scheduler& scheduler,
   ProbeSet extra;
   extra.add(&audit);
   extra.add(&flight);
-  const SimReport report = run_scenario(cfg, scheduler, extra);
-  return ObservedRun{report_to_json(report), audit.to_json(),
-                     flight.to_json()};
+  SimReport report = run_scenario(cfg, scheduler, extra);
+  return ObservedRun{std::move(report), audit.to_json(), flight.to_json()};
 }
 
-void expect_bit_identical(const ScenarioConfig& cfg,
-                          const std::function<std::unique_ptr<Scheduler>()>& make,
-                          const std::string& ctx) {
-  auto sched_heap = make();
-  const ObservedRun heap =
-      run_with_queue(cfg, *sched_heap, EventQueueKind::kHeap);
-  auto sched_wheel = make();
-  const ObservedRun wheel =
-      run_with_queue(cfg, *sched_wheel, EventQueueKind::kWheel);
-  ASSERT_EQ(heap.report, wheel.report) << ctx;
-  ASSERT_EQ(heap.audit, wheel.audit) << ctx;
-  ASSERT_EQ(heap.flight, wheel.flight) << ctx;
+/// Invariants every run keeps, faults or not: conservation, a full drain,
+/// and non-empty audit and flight artifacts.
+void expect_run_invariants(const ObservedRun& run, const std::string& ctx) {
+  const SimReport& r = run.report;
+  EXPECT_GT(r.offered, 0u) << ctx;
+  EXPECT_EQ(r.offered, r.delivered + r.dropped) << ctx;
+  EXPECT_EQ(r.in_flight_at_end, 0u) << ctx;
+  EXPECT_FALSE(run.audit.empty()) << ctx;
+  EXPECT_FALSE(run.flight.empty()) << ctx;
 }
 
 TEST(EventQueueDifferential, BitIdenticalAcrossRandomizedConfigurations) {
@@ -515,17 +509,23 @@ TEST(EventQueueDifferential, BitIdenticalAcrossRandomizedConfigurations) {
       cfg.services.push_back(std::move(t));
     }
     const auto& [name, make] = schedulers[round % schedulers.size()];
-    expect_bit_identical(cfg, make,
-                         cfg.name + "/" + name + " cores=" +
-                             std::to_string(cfg.num_cores) + " q=" +
-                             std::to_string(cfg.queue_capacity));
+    const std::string ctx = cfg.name + "/" + name + " cores=" +
+                            std::to_string(cfg.num_cores) + " q=" +
+                            std::to_string(cfg.queue_capacity);
+    auto scheduler = make();
+    const ObservedRun run = run_observed_once(cfg, *scheduler);
+    expect_run_invariants(run, ctx);
+    auto reference_scheduler = make();
+    const SimReport reference =
+        run_scenario_reference(cfg, *reference_scheduler);
+    ASSERT_EQ(report_to_json(run.report), report_to_json(reference)) << ctx;
   }
 }
 
-// Fault schedules are where the queues diverge structurally the most: the
-// wheel must replay lazily-cancelled (generation-stale) completions and
-// stall wake-ups in exactly the heap's order for flush accounting and
-// recovery timelines to match.
+// Fault schedules exercise the queue's hardest paths: lazily cancelled
+// (generation-stale) completions and stall wake-ups. The reference kernel
+// predates faults, so these runs are held to the invariants alone, plus
+// the graceful-degradation rule that FCFS never routes to a dead core.
 TEST(EventQueueDifferential, BitIdenticalUnderRandomFaultSchedules) {
   Rng rng(0xFA017);
   for (int round = 0; round < 6; ++round) {
@@ -542,9 +542,11 @@ TEST(EventQueueDifferential, BitIdenticalUnderRandomFaultSchedules) {
     cfg.faults = std::make_shared<const FaultPlan>(
         random_fault_plan(rng.next(), params));
 
-    expect_bit_identical(
-        cfg, [] { return std::make_unique<FcfsScheduler>(); },
-        cfg.name + " spec=" + cfg.faults->to_spec());
+    FcfsScheduler fcfs;
+    const ObservedRun run = run_observed_once(cfg, fcfs);
+    const std::string ctx = cfg.name + " spec=" + cfg.faults->to_spec();
+    expect_run_invariants(run, ctx);
+    EXPECT_EQ(run.report.extra.at("fault_dead_route_drops"), 0.0) << ctx;
   }
 }
 

@@ -1,8 +1,7 @@
 // Tests for the string-spec SchedulerRegistry (src/exp/scheduler_registry):
 // fail-fast errors for malformed and unknown specs, the canonical-form
 // round-trip property (fuzzed), and the aggressive_snapshot() read-only
-// contract. Also pins the --event-queue fail-fast error, the registry's
-// sibling spec grammar.
+// contract.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -19,7 +18,6 @@
 #include "exp/scheduler_registry.h"
 #include "traffic/generator.h"
 #include "sim/scheduler.h"
-#include "sim/timing_wheel.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -177,20 +175,6 @@ TEST(TableCapacity, ConstructorsRejectUnaddressableCapacities) {
                   std::to_string(MigrationTable::kMaxCapacity + 1)),
               std::string::npos)
         << e.what();
-  }
-}
-
-TEST(EventQueueSpec, UnknownSpecFailsFastListingValidKinds) {
-  EXPECT_EQ(parse_event_queue_kind("wheel"), EventQueueKind::kWheel);
-  EXPECT_EQ(parse_event_queue_kind("heap"), EventQueueKind::kHeap);
-  try {
-    parse_event_queue_kind("calendar");
-    FAIL() << "unknown --event-queue spec must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("calendar"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("wheel"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("heap"), std::string::npos) << msg;
   }
 }
 
