@@ -4,8 +4,9 @@
 // software model of each stage and the full decision path; one packet per
 // iteration, so `items_per_second` reads directly in packets/s.
 //
-// Also benchmarks the AFD (off the critical path), the DES substrate, and
-// end-to-end simulation throughput, documenting the harness's own capacity.
+// Also benchmarks the AFD (off the critical path), the DES substrate, the
+// traffic generator, and end-to-end simulation throughput, documenting the
+// harness's own capacity.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -17,9 +18,12 @@
 #include "core/laps.h"
 #include "core/map_table.h"
 #include "core/migration_table.h"
+#include "exp/trace_store.h"
 #include "sim/event_heap.h"
 #include "sim/scenarios.h"
 #include "trace/synthetic.h"
+#include "traffic/generator.h"
+#include "traffic/holt_winters.h"
 #include "util/crc.h"
 #include "util/toeplitz.h"
 
@@ -214,6 +218,58 @@ void BM_EventHeapPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventHeapPushPop)->Arg(150)->Arg(10'000);
+
+// Eq. 1 as the generator's thinning loop evaluates it, one candidate per
+// iteration at 5 Mpps spacing: /0 is the pure HoltWintersRate::rate_mpps
+// (a Gaussian draw per call), /1 the generator's MemoizedRate (one draw per
+// 0.1 s noise interval).
+void BM_HoltWintersRate(benchmark::State& state) {
+  const HoltWintersRate curve(table4_params(2)[0], 7);
+  MemoizedRate memo(curve);
+  const bool memoized = state.range(0) != 0;
+  double t = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(memoized ? memo.rate_mpps(t)
+                                      : curve.rate_mpps(t));
+    t += 2e-7;
+    if (t > 60.0) t = 0.0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HoltWintersRate)->Arg(0)->Arg(1);
+
+// The Packet Generator (paper Fig. 6) on Table VI T5 over a warm shared
+// TraceStore, as a grid cell sees it: Holt-Winters thinning, the trace
+// cursor and the global flow-id map, per emitted packet.
+void BM_PacketGenerator(benchmark::State& state) {
+  TraceStore store;
+  ScenarioOptions options;
+  options.seconds = 0.25;
+  options.seed = 7;
+  options.trace_factory = store.factory();
+  const ScenarioConfig cfg = make_paper_scenario("T5", options);
+  const auto fresh = [&cfg] {
+    for (const ServiceTraffic& s : cfg.services) s.trace->reset();
+    return std::make_unique<PacketGenerator>(cfg.services, cfg.seed,
+                                             cfg.seconds);
+  };
+  // Materialize every record one horizon reads before timing.
+  for (auto warm = fresh(); warm->next();) {
+  }
+  auto gen = fresh();
+  for (auto _ : state) {
+    auto pkt = gen->next();
+    if (!pkt) {
+      state.PauseTiming();
+      gen = fresh();
+      state.ResumeTiming();
+      pkt = gen->next();
+    }
+    benchmark::DoNotOptimize(pkt);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PacketGenerator);
 
 // End-to-end simulator throughput in simulated packets per wall second.
 void BM_FullSimulation(benchmark::State& state) {

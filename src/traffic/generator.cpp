@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "trace/synthetic.h"
 #include "util/samplers.h"
@@ -28,20 +29,20 @@ PacketGenerator::PacketGenerator(std::vector<ServiceTraffic> services,
     const HoltWintersParams rate = traffic.rate;
     PerService s{
         std::move(traffic),
-        HoltWintersRate(rate, mix64(seed + 17 * i + 1)),
+        MemoizedRate(HoltWintersRate(rate, mix64(seed + 17 * i + 1))),
         seeder.stream(i),
         /*next_time_s=*/0.0,
         /*bound_mpps=*/0.0,
         /*gflow_offset=*/0,
         /*exhausted=*/false,
-        /*has_hint=*/false,
+        /*flow_hint=*/0,
         /*dynamic_ids=*/{},
     };
-    s.bound_mpps = s.curve.rate_bound_mpps(horizon_seconds);
+    s.bound_mpps = s.rate.curve().rate_bound_mpps(horizon_seconds);
     s.gflow_offset = offset;
     const std::size_t hint = s.traffic.trace->flow_count_hint();
-    s.has_hint = hint > 0;
-    offset += static_cast<std::uint32_t>(hint);
+    s.flow_hint = static_cast<std::uint32_t>(hint);
+    offset += s.flow_hint;
     services_.push_back(std::move(s));
     advance(services_.back());
   }
@@ -61,8 +62,7 @@ void PacketGenerator::advance(PerService& s) {
       s.next_time_s = t;
       return;
     }
-    const double accept =
-        s.curve.rate_mpps(t) / s.bound_mpps;
+    const double accept = s.rate.rate_mpps(t) / s.bound_mpps;
     if (s.rng.uniform() < accept) {
       s.next_time_s = t;
       return;
@@ -70,17 +70,41 @@ void PacketGenerator::advance(PerService& s) {
   }
 }
 
+namespace {
+
+[[noreturn]] void reject_flow_id(const TraceSource& trace,
+                                 std::uint32_t local_id, std::uint32_t bound,
+                                 const char* what) {
+  throw std::out_of_range("PacketGenerator: trace '" + trace.name() +
+                          "' emitted flow id " + std::to_string(local_id) +
+                          ", not below its " + what + " " +
+                          std::to_string(bound));
+}
+
+}  // namespace
+
 std::uint32_t PacketGenerator::global_flow(PerService& s,
                                            std::uint32_t local_id) {
-  if (s.has_hint) {
+  if (s.flow_hint > 0) {
+    if (local_id >= s.flow_hint) {
+      reject_flow_id(*s.traffic.trace, local_id, s.flow_hint,
+                     "flow_count_hint()");
+    }
     return s.gflow_offset + local_id;
   }
-  const auto [it, inserted] = s.dynamic_ids.emplace(local_id, dynamic_next_);
-  if (inserted) {
-    ++dynamic_next_;
+  if (local_id >= s.dynamic_ids.size()) {
+    if (local_id >= kMaxDynamicFlowId) {
+      reject_flow_id(*s.traffic.trace, local_id, kMaxDynamicFlowId,
+                     "dense-id bound");
+    }
+    s.dynamic_ids.resize(local_id + 1, kUnassigned);
+  }
+  std::uint32_t& gflow = s.dynamic_ids[local_id];
+  if (gflow == kUnassigned) {
+    gflow = dynamic_next_++;
     ++total_flows_;
   }
-  return it->second;
+  return gflow;
 }
 
 ReplayStream ReplayStream::record(ArrivalStream& source) {

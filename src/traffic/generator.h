@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/packet_record.h"
@@ -79,21 +79,34 @@ class PacketGenerator final : public ArrivalStream {
   /// Number of services.
   std::size_t num_services() const { return services_.size(); }
 
+  /// Local flow ids must be dense (PacketRecord::flow_id). A trace's id at
+  /// or above its flow_count_hint() would alias the next service's global
+  /// ids, and a hint-less trace's ids index a dense array, so an id at or
+  /// above this bound (far beyond any flow population) would size that
+  /// array to gigabytes: both are rejected with std::out_of_range.
+  static constexpr std::uint32_t kMaxDynamicFlowId = 1u << 28;
+
  private:
   struct PerService {
     ServiceTraffic traffic;
-    HoltWintersRate curve;
+    MemoizedRate rate;
     Rng rng;
     double next_time_s = 0.0;   // tentative next arrival (seconds)
     double bound_mpps = 0.0;    // thinning envelope
     std::uint32_t gflow_offset = 0;
     bool exhausted = false;
-    // Cached trace->flow_count_hint() > 0: global_flow runs per packet and
-    // must not pay a virtual call to re-learn a static property.
-    bool has_hint = false;
-    // Fallback mapping for traces without a flow-count hint.
-    std::unordered_map<std::uint32_t, std::uint32_t> dynamic_ids;
+    // Cached trace->flow_count_hint(), 0 = none: global_flow runs per
+    // packet and must not pay a virtual call to re-learn a static property.
+    std::uint32_t flow_hint = 0;
+    // Global id per local flow id for traces without a flow-count hint;
+    // kUnassigned until the local id is first seen. A deque, not a vector:
+    // it grows in small blocks, so growing copies nothing and frees no
+    // large block. (Freeing one raises glibc's dynamic mmap threshold; with
+    // a vector here observed-replay's peak RSS rose by 28 MB.)
+    std::deque<std::uint32_t> dynamic_ids;
   };
+
+  static constexpr std::uint32_t kUnassigned = ~std::uint32_t{0};
 
   void advance(PerService& s);
   std::uint32_t global_flow(PerService& s, std::uint32_t local_id);

@@ -46,15 +46,10 @@ double HoltWintersRate::mean_rate_mpps(double t) const {
   return r > floor_mpps ? r : floor_mpps;
 }
 
-double HoltWintersRate::rate_mpps(double t) const {
-  double noise = 0.0;
-  if (params_.sigma > 0) {
-    const auto interval = static_cast<std::uint64_t>(t / noise_interval_);
-    Rng rng(mix64(seed_ ^ mix64(interval + 1)));
-    noise = sample_gaussian(rng, params_.sigma);
-  }
-  const double r = mean_rate_mpps(t) + noise;
-  return r > floor_mpps ? r : floor_mpps;
+double HoltWintersRate::interval_noise(std::uint64_t index) const {
+  if (!(params_.sigma > 0)) return 0.0;
+  Rng rng(mix64(seed_ ^ mix64(index + 1)));
+  return sample_gaussian(rng, params_.sigma);
 }
 
 double HoltWintersRate::rate_bound_mpps(double horizon) const {

@@ -43,7 +43,23 @@ class HoltWintersRate {
                   double noise_interval = 0.1);
 
   /// Rate at time t (seconds), clamped below at `floor_mpps`. Mpps.
-  double rate_mpps(double t) const;
+  double rate_mpps(double t) const {
+    return rate_with_noise(t, interval_noise(noise_interval_of(t)));
+  }
+
+  /// Index of the noise interval holding t (t / noise_interval, truncated).
+  std::uint64_t noise_interval_of(double t) const {
+    return static_cast<std::uint64_t>(t / noise_interval_);
+  }
+
+  /// The noise term n(sigma) over interval `index`; 0 when sigma == 0.
+  double interval_noise(std::uint64_t index) const;
+
+  /// rate_mpps(t) given the noise of t's interval: mean + noise, clamped.
+  double rate_with_noise(double t, double noise) const {
+    const double r = mean_rate_mpps(t) + noise;
+    return r > floor_mpps ? r : floor_mpps;
+  }
 
   /// Rate without the noise term — used for capacity calibration.
   double mean_rate_mpps(double t) const;
@@ -62,6 +78,33 @@ class HoltWintersRate {
   HoltWintersParams params_;
   std::uint64_t seed_;
   double noise_interval_;
+};
+
+/// One curve evaluated by a Poisson-thinning loop, which asks for ~1.8
+/// rates per accepted arrival while a 0.1 s noise interval spans ~10^5 of
+/// them: the noise of the last interval seen is kept, so the Gaussian draw
+/// runs once per interval instead of once per candidate. rate_mpps(t)
+/// equals HoltWintersRate::rate_mpps(t) bit for bit, for any order of t.
+class MemoizedRate {
+ public:
+  explicit MemoizedRate(const HoltWintersRate& curve)
+      : curve_(curve), noise_(curve.interval_noise(0)) {}
+
+  double rate_mpps(double t) {
+    const std::uint64_t interval = curve_.noise_interval_of(t);
+    if (interval != interval_) {
+      interval_ = interval;
+      noise_ = curve_.interval_noise(interval);
+    }
+    return curve_.rate_with_noise(t, noise_);
+  }
+
+  const HoltWintersRate& curve() const { return curve_; }
+
+ private:
+  HoltWintersRate curve_;
+  std::uint64_t interval_ = 0;
+  double noise_;
 };
 
 }  // namespace laps

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -13,6 +14,20 @@ namespace laps {
 /// which is why the paper picks it. Table-driven, one table lookup per byte.
 std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data,
                           std::uint16_t init = 0xFFFF);
+
+/// CRC16-CCITT of a fixed 13-byte message (the 5-tuple wire layout, see
+/// FiveTuple::crc16) by byte position. A CRC is affine over GF(2), so
+///
+///   crc16_ccitt(m) == kCrc16TupleInit ^ XOR_i kCrc16TupleTable[i][m[i]]
+///
+/// for every 13-byte m: 13 independent lookups in place of the bytewise
+/// loop's 13 dependent ones. kCrc16TupleInit is the CRC of 13 zero bytes;
+/// kCrc16TupleTable[i][b] is the init-0 CRC of byte b at offset i followed
+/// by 12 - i zero bytes.
+inline constexpr std::size_t kCrc16TupleBytes = 13;
+extern const std::uint16_t kCrc16TupleInit;
+extern const std::array<std::array<std::uint16_t, 256>, kCrc16TupleBytes>
+    kCrc16TupleTable;
 
 /// CRC32 (IEEE 802.3, polynomial 0xEDB88320, reflected). Provided as an
 /// alternative scheduler hash for ablations and for pcap sanity checking.

@@ -27,7 +27,19 @@ struct FiveTuple {
   std::array<std::uint8_t, 13> wire_bytes() const;
 
   /// CRC16-CCITT of the 13-byte wire layout — the LAPS scheduler hash.
-  std::uint16_t crc16() const;
+  /// Table-driven by byte position (kCrc16TupleTable), straight from the
+  /// fields. Inline: LAPS computes it once per packet.
+  std::uint16_t crc16() const {
+    const auto at = [](std::size_t offset, std::uint32_t value, int shift) {
+      return kCrc16TupleTable[offset][(value >> shift) & 0xFF];
+    };
+    return static_cast<std::uint16_t>(
+        kCrc16TupleInit ^ at(0, src_ip, 24) ^ at(1, src_ip, 16) ^
+        at(2, src_ip, 8) ^ at(3, src_ip, 0) ^ at(4, dst_ip, 24) ^
+        at(5, dst_ip, 16) ^ at(6, dst_ip, 8) ^ at(7, dst_ip, 0) ^
+        at(8, src_port, 8) ^ at(9, src_port, 0) ^ at(10, dst_port, 8) ^
+        at(11, dst_port, 0) ^ at(12, protocol, 0));
+  }
 
   /// A 64-bit key for software hash maps (migration tables, statistics).
   /// Collision-free in practice for simulated flow populations: mixes all

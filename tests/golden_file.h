@@ -1,7 +1,7 @@
 #pragma once
 
 // Helpers shared by the golden-file tests (scheduler_equiv_test,
-// afd_golden_test): each golden is a text file of `key<TAB>fields...`
+// afd_golden_test, generator_golden_test): each golden is a text file of `key<TAB>fields...`
 // lines, and LAPS_REGEN_GOLDEN=1 switches a run from comparing against it
 // to rewriting it.
 

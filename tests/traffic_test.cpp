@@ -3,9 +3,14 @@
 // packet generator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/synthetic.h"
@@ -89,6 +94,49 @@ TEST(HoltWinters, RejectsBadConstruction) {
   EXPECT_THROW(HoltWintersRate(p, 1, 0.0), std::invalid_argument);
   p.m = 0.0;
   EXPECT_THROW(HoltWintersRate(p, 1), std::invalid_argument);
+}
+
+// MemoizedRate is what the generator's thinning loop evaluates: it must
+// equal the pure rate_mpps(t) bit for bit, at interval boundaries and one
+// ulp either side, in any order of t, with and without noise, and on the
+// floor clamp.
+TEST(HoltWinters, MemoizedRateMatchesRateBitForBit) {
+  const std::vector<HoltWintersParams> curves = {
+      table4_params(1)[2],                   // noisy (sigma 0.25)
+      {1.0, 0.03, 0.3, 40.0, 0.0},           // sigma == 0
+      {0.02, -0.5, 0.0, 10.0, 0.3},          // on the floor clamp
+  };
+  std::vector<double> times;
+  for (int k = 0; k <= 40; ++k) {
+    const double t = k * 0.1;
+    if (t > 0) times.push_back(std::nextafter(t, 0.0));
+    times.push_back(t);
+    times.push_back(std::nextafter(t, 10.0));
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  int straddles = 0;
+  int clamped = 0;
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    const HoltWintersRate rate(curves[c], 99 + c);
+    MemoizedRate memo(rate);
+    for (const double t : times) {
+      ASSERT_EQ(bits(memo.rate_mpps(t)), bits(rate.rate_mpps(t)))
+          << "curve " << c << " t " << t;
+      if (rate.rate_mpps(t) == HoltWintersRate::floor_mpps) ++clamped;
+    }
+    // Backwards, so every call crosses into an interval the memo has left.
+    for (auto it = times.rbegin(); it != times.rend(); ++it) {
+      ASSERT_EQ(bits(memo.rate_mpps(*it)), bits(rate.rate_mpps(*it)))
+          << "curve " << c << " t " << *it << " (reverse)";
+    }
+  }
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    const HoltWintersRate rate(curves[0], 0);
+    if (rate.noise_interval_of(times[i - 1]) != rate.noise_interval_of(times[i]))
+      ++straddles;
+  }
+  EXPECT_EQ(straddles, 40);  // every boundary lies between adjacent times
+  EXPECT_GT(clamped, 0);
 }
 
 // ------------------------------------------------------------ DelayModel ---
@@ -257,6 +305,129 @@ TEST(PacketGenerator, WrapsFiniteTraces) {
     ++n;
   }
   EXPECT_GT(n, 100);  // ~1000 expected; the trace wrapped repeatedly
+}
+
+/// A finite, hint-less trace replaying a fixed list of local flow ids.
+class ScriptedTrace final : public TraceSource {
+ public:
+  ScriptedTrace(std::string name, std::vector<std::uint32_t> ids,
+                std::size_t hint = 0)
+      : name_(std::move(name)), ids_(std::move(ids)), hint_(hint) {}
+  std::optional<PacketRecord> next() override {
+    if (pos_ == ids_.size()) return std::nullopt;
+    PacketRecord rec;
+    rec.flow_id = ids_[pos_++];
+    rec.tuple.src_ip = rec.flow_id;
+    return rec;
+  }
+  void reset() override { pos_ = 0; }
+  std::size_t flow_count_hint() const override { return hint_; }
+  std::string name() const override { return name_; }
+
+ private:
+  std::string name_;
+  std::vector<std::uint32_t> ids_;
+  std::size_t hint_;
+  std::size_t pos_ = 0;
+};
+
+ServiceTraffic scripted_service(ServicePath path,
+                                std::shared_ptr<TraceSource> trace) {
+  ServiceTraffic s;
+  s.path = path;
+  s.rate = HoltWintersParams{0.5, 0.0, 0.0, 10.0, 0.0};
+  s.trace = std::move(trace);
+  return s;
+}
+
+// Two hint-less services share one dynamic id pool: global ids go out in
+// first-seen order across both, total_flows() grows by one per new local
+// id, and once the finite traces wrap (reset()) every id maps back to the
+// global id it got the first time.
+TEST(PacketGenerator, DynamicIdsFollowFirstSeenOrderAcrossServices) {
+  const std::vector<std::vector<std::uint32_t>> scripts = {
+      {9, 2, 9, 0, 41, 2, 7},
+      {3, 3, 1000, 0, 5},
+  };
+  std::vector<ServiceTraffic> services;
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    services.push_back(scripted_service(
+        static_cast<ServicePath>(i),
+        std::make_shared<ScriptedTrace>("scripted" + std::to_string(i),
+                                        scripts[i])));
+  }
+  PacketGenerator gen(services, 4, 0.002);
+  EXPECT_EQ(gen.total_flows(), 0u);
+
+  std::map<std::pair<int, std::uint32_t>, std::uint32_t> assigned;
+  std::vector<std::size_t> pos(scripts.size(), 0);
+  int packets = 0;
+  while (const auto pkt = gen.next()) {
+    const auto service = static_cast<std::size_t>(pkt->service);
+    std::size_t& at = pos[service];
+    const std::uint32_t local = scripts[service][at++ % scripts[service].size()];
+    ASSERT_EQ(pkt->record.flow_id, local);
+    const auto key = std::make_pair(static_cast<int>(service), local);
+    const auto it = assigned.find(key);
+    if (it == assigned.end()) {
+      ASSERT_EQ(pkt->gflow, assigned.size()) << "first-seen order";
+      assigned.emplace(key, pkt->gflow);
+    } else {
+      ASSERT_EQ(pkt->gflow, it->second) << "reused id after wrap";
+    }
+    ASSERT_EQ(gen.total_flows(), assigned.size());
+    ++packets;
+  }
+  EXPECT_EQ(assigned.size(), 9u);  // 5 + 4 distinct (service, local) ids
+  EXPECT_GT(pos[0], 2 * scripts[0].size());  // both traces wrapped
+  EXPECT_GT(pos[1], 2 * scripts[1].size());
+  EXPECT_GT(packets, 100);
+}
+
+// Local ids must be dense: an id far beyond any flow population would size
+// the generator's id array to gigabytes, and an id at or above a trace's
+// flow_count_hint() would alias the next service's ids. Both throw a
+// std::out_of_range naming the trace and the id.
+TEST(PacketGenerator, RejectsFlowIdsOutsideTheDenseRange) {
+  const auto expect_rejected = [](std::shared_ptr<TraceSource> trace,
+                                  const std::string& id) {
+    PacketGenerator gen({scripted_service(ServicePath::kIpForward, trace)}, 1,
+                        0.001);
+    try {
+      while (gen.next()) {
+      }
+      ADD_FAILURE() << "flow id " << id << " accepted";
+    } catch (const std::out_of_range& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + trace->name() + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(id), std::string::npos) << what;
+    }
+  };
+  constexpr std::uint32_t bound = PacketGenerator::kMaxDynamicFlowId;
+  expect_rejected(std::make_shared<ScriptedTrace>(
+                      "at-bound", std::vector<std::uint32_t>{bound}),
+                  std::to_string(bound));
+  expect_rejected(std::make_shared<ScriptedTrace>(
+                      "max-id", std::vector<std::uint32_t>{0xFFFFFFFFu}),
+                  "4294967295");
+  expect_rejected(std::make_shared<ScriptedTrace>(
+                      "over-hint", std::vector<std::uint32_t>{0, 1, 5}, 5),
+                  "5");
+
+  // Ids below both bounds pass, hinted or not.
+  PacketGenerator ok({scripted_service(
+                          ServicePath::kIpForward,
+                          std::make_shared<ScriptedTrace>(
+                              "in-range", std::vector<std::uint32_t>{4, 0}, 5)),
+                      scripted_service(
+                          ServicePath::kVpnOut,
+                          std::make_shared<ScriptedTrace>(
+                              "dynamic", std::vector<std::uint32_t>{70000}))},
+                     1, 0.001);
+  while (ok.next()) {
+  }
+  EXPECT_EQ(ok.total_flows(), 6u);
 }
 
 // ---------------------------------------------------- Load calibration ---

@@ -100,6 +100,42 @@ TEST(FiveTuple, WireBytesLayout) {
   EXPECT_EQ(bytes[12], 17);
 }
 
+// FiveTuple::crc16 is the per-position table form of the CRC; the bytewise
+// crc16_ccitt over wire_bytes() (pinned by the 0x29B1 vector) is its
+// reference.
+TEST(Crc16, FiveTupleTableMatchesBytewiseReference) {
+  const auto reference = [](const FiveTuple& t) {
+    return crc16_ccitt(t.wire_bytes());
+  };
+  EXPECT_EQ(FiveTuple{}.crc16(), reference(FiveTuple{}));
+  Rng rng(0xC8C16);
+  for (int i = 0; i < 5000; ++i) {
+    FiveTuple t;
+    t.src_ip = static_cast<std::uint32_t>(rng.next());
+    t.dst_ip = static_cast<std::uint32_t>(rng.next());
+    t.src_port = static_cast<std::uint16_t>(rng.below(65536));
+    t.dst_port = static_cast<std::uint16_t>(rng.below(65536));
+    t.protocol = static_cast<std::uint8_t>(rng.below(256));
+    ASSERT_EQ(t.crc16(), reference(t)) << t.to_string();
+  }
+  // Single-bit inputs pin every table row's per-bit contribution on its own.
+  for (std::size_t bit = 0; bit < 104; ++bit) {
+    FiveTuple t;
+    if (bit < 32) {
+      t.src_ip = 1u << (31 - bit);
+    } else if (bit < 64) {
+      t.dst_ip = 1u << (63 - bit);
+    } else if (bit < 80) {
+      t.src_port = static_cast<std::uint16_t>(1u << (79 - bit));
+    } else if (bit < 96) {
+      t.dst_port = static_cast<std::uint16_t>(1u << (95 - bit));
+    } else {
+      t.protocol = static_cast<std::uint8_t>(1u << (103 - bit));
+    }
+    ASSERT_EQ(t.crc16(), reference(t)) << "bit " << bit;
+  }
+}
+
 TEST(FiveTuple, EqualityAndOrdering) {
   FiveTuple a{1, 2, 3, 4, 6};
   FiveTuple b = a;
